@@ -412,8 +412,8 @@ uint64_t LlvmSession::stateKey() {
   if (!CachedStateKey) {
     // Benchmark URI disambiguates baseline-relative observations (e.g.
     // IrInstructionCountOz) between benchmarks whose IR happens to
-    // coincide. Hashing prints the module, so the digest is cached per
-    // action epoch rather than recomputed per request.
+    // coincide. Hashing walks the whole module, so the digest is cached
+    // per action epoch rather than recomputed per request.
     uint64_t Key = hashCombine(fnv1a(Bench.Uri), Mod->hash().low64());
     CachedStateKey = Key ? Key : 1;
     // Every newly keyed state is published as a restorable snapshot: a
@@ -440,7 +440,7 @@ bool LlvmSession::restore(uint64_t StateKey) {
   Mod = Snap->Mod->share();
   rebindModule();
   // The restored module is bit-identical to the state the key addresses;
-  // skip re-printing it to recover the digest.
+  // skip re-walking it to recover the digest.
   CachedStateKey = StateKey;
   LastExposedKey = StateKey;
   return true;

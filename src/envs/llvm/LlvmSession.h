@@ -17,8 +17,9 @@
 /// actions, invalidating only what each pass reports clobbered. Repeated
 /// observations of an unchanged module are memoized per session (keyed on
 /// an action-epoch counter), and the module StateHash behind stateKey() is
-/// cached so the runtime's shared ObservationCache can deduplicate across
-/// sessions without re-printing the module on every request.
+/// cached per epoch so the runtime's shared ObservationCache can
+/// deduplicate across sessions without re-walking the module on every
+/// request.
 ///
 /// Observation spaces: Ir, InstCount, Autophase, Inst2vec, Programl,
 /// IrInstructionCount, IrInstructionCountOz, ObjectTextSizeBytes,

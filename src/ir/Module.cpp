@@ -6,9 +6,10 @@
 
 #include "ir/Module.h"
 
-#include "ir/Printer.h"
-
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <string_view>
 #include <unordered_map>
 
 using namespace compiler_gym;
@@ -220,4 +221,198 @@ std::unique_ptr<Module> Module::share() const {
   return Out;
 }
 
-StateHash Module::hash() const { return hashBytes(printModule(*this)); }
+namespace {
+
+/// Streaming digest over 64-bit words. Two lanes absorb every word with
+/// xxHash64's multiply-rotate round, each with its own constants. For a
+/// fixed lane state the round is a bijection of the word, so two equally
+/// long streams that differ in exactly one word never collide.
+class WordDigest {
+public:
+  void word(uint64_t W) {
+    A = std::rotl(A + W * 0xC2B2AE3D27D4EB4Full, 31) * 0x9E3779B185EBCA87ull;
+    B = std::rotl(B + W * 0x165667B19E3779F9ull, 27) * 0x85EBCA77C2B2AE63ull;
+  }
+
+  /// Absorbs \p S as one word holding its length and \p Low (any 32-bit
+  /// field of the caller's), then its bytes eight to a word.
+  void str(std::string_view S, uint32_t Low) {
+    word(static_cast<uint64_t>(S.size()) << 32 | Low);
+    size_t I = 0;
+    for (; I + 8 <= S.size(); I += 8) {
+      uint64_t W;
+      std::memcpy(&W, S.data() + I, 8);
+      word(W);
+    }
+    if (I < S.size()) {
+      uint64_t W = 0;
+      std::memcpy(&W, S.data() + I, S.size() - I);
+      word(W);
+    }
+  }
+
+  /// Finalizes with murmur3's fmix64. Words 0-1 (the 64-bit map key) are
+  /// a bijection of lane A; the full digest is a bijection of both lanes.
+  StateHash finish() const {
+    uint64_t X = fmix(A);
+    uint64_t Y = fmix(B ^ X);
+    uint64_t Z = fmix(X + Y * 0x9E3779B97F4A7C15ull);
+    StateHash H;
+    H.Words = {static_cast<uint32_t>(X >> 32), static_cast<uint32_t>(X),
+               static_cast<uint32_t>(Y >> 32), static_cast<uint32_t>(Y),
+               static_cast<uint32_t>(Z ^ (Z >> 32))};
+    return H;
+  }
+
+private:
+  static uint64_t fmix(uint64_t K) {
+    K ^= K >> 33;
+    K *= 0xFF51AFD7ED558CCDull;
+    K ^= K >> 33;
+    K *= 0xC4CEB9FE1A85EC53ull;
+    K ^= K >> 33;
+    return K;
+  }
+
+  uint64_t A = 0x243F6A8885A308D3ull;
+  uint64_t B = 0x13198A2E03707344ull;
+};
+
+/// Local value -> index within one function, in first-sight order: a flat
+/// open-addressing table with linear probing. Slot placement reads
+/// pointer values; the digest reads only the indices, so it never depends
+/// on heap layout.
+class LocalIndex {
+public:
+  /// Empties the table, sized for \p Expected entries.
+  void reset(size_t Expected) {
+    size_t Cap = 16;
+    while (Cap < 2 * Expected)
+      Cap <<= 1;
+    Slots.assign(Cap, Slot());
+    Size = 0;
+  }
+
+  /// Index of \p V; assigns the next index when \p V is new, which
+  /// \p Inserted reports.
+  uint32_t indexOf(const Value *V, bool &Inserted) {
+    Slot *S = find(V);
+    Inserted = !S->Key;
+    if (Inserted) {
+      if (2 * (Size + 1) > Slots.size()) {
+        grow();
+        S = find(V);
+      }
+      *S = {V, Size++};
+    }
+    return S->Index;
+  }
+
+private:
+  struct Slot {
+    const Value *Key = nullptr;
+    uint32_t Index = 0;
+  };
+
+  Slot *find(const Value *V) {
+    size_t Mask = Slots.size() - 1;
+    size_t I = (reinterpret_cast<uintptr_t>(V) * 0x9E3779B97F4A7C15ull) >>
+               (64 - std::countr_zero(Slots.size()));
+    while (Slots[I].Key && Slots[I].Key != V)
+      I = (I + 1) & Mask;
+    return &Slots[I];
+  }
+
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.size() * 2, Slot());
+    for (const Slot &S : Old)
+      if (S.Key)
+        *find(S.Key) = S;
+  }
+
+  std::vector<Slot> Slots;
+  uint32_t Size = 0;
+};
+
+enum OperandTag : uint64_t { OpConst, OpGlobal, OpFunction, OpLocal, OpOther };
+
+void hashOperand(WordDigest &D, LocalIndex &Locals, const Value *V) {
+  if (const auto *C = dyn_cast<Constant>(V)) {
+    D.word(OpConst | static_cast<uint64_t>(C->type()) << 8);
+    D.word(C->type() == Type::F64 ? std::bit_cast<uint64_t>(C->floatValue())
+                                  : static_cast<uint64_t>(C->intValue()));
+    return;
+  }
+  if (const auto *G = dyn_cast<GlobalVariable>(V)) {
+    D.str(G->name(), OpGlobal);
+    return;
+  }
+  if (const auto *FR = dyn_cast<FunctionRef>(V)) {
+    D.str(FR->calleeName(), OpFunction);
+    return;
+  }
+  bool Inserted = false;
+  uint32_t Index = Locals.indexOf(V, Inserted);
+  if (!Inserted) {
+    D.word(OpLocal | static_cast<uint64_t>(Index) << 8);
+    return;
+  }
+  // A value defined outside this function (malformed IR): spell it out on
+  // first sight, then refer to it by its new index like any local.
+  D.word(OpOther | static_cast<uint64_t>(V->kind()) << 8 |
+         static_cast<uint64_t>(V->type()) << 16);
+  D.str(V->name(), 0);
+}
+
+void hashFunction(WordDigest &D, LocalIndex &Locals, const Function &F) {
+  // Pass 1: number the local definitions so operands, including forward
+  // references, can name them by definition index.
+  size_t NumLocals = F.numArgs() + F.numBlocks();
+  for (const auto &BB : F.blocks())
+    NumLocals += BB->size();
+  Locals.reset(NumLocals);
+  bool Inserted = false;
+  for (size_t I = 0; I < F.numArgs(); ++I)
+    Locals.indexOf(F.arg(I), Inserted);
+  for (const auto &BB : F.blocks()) {
+    Locals.indexOf(BB.get(), Inserted);
+    for (const auto &I : BB->instructions())
+      Locals.indexOf(I.get(), Inserted);
+  }
+
+  // Pass 2: absorb what the printer renders, in its order. Every count
+  // precedes the items it counts, so the word stream decodes uniquely.
+  D.word(static_cast<uint64_t>(F.isNoInline()) |
+         static_cast<uint64_t>(F.returnType()) << 8 |
+         static_cast<uint64_t>(F.numArgs()) << 32);
+  D.str(F.name(), static_cast<uint32_t>(F.numBlocks()));
+  for (size_t I = 0; I < F.numArgs(); ++I)
+    D.str(F.arg(I)->name(), static_cast<uint32_t>(F.arg(I)->type()));
+  for (const auto &BB : F.blocks()) {
+    D.str(BB->name(), static_cast<uint32_t>(BB->size()));
+    for (const auto &I : BB->instructions()) {
+      D.word(static_cast<uint64_t>(I->opcode()) |
+             static_cast<uint64_t>(I->type()) << 8 |
+             static_cast<uint64_t>(I->pred()) << 16 |
+             static_cast<uint64_t>(I->allocaWords()) << 32);
+      D.str(I->name(), static_cast<uint32_t>(I->numOperands()));
+      for (const Value *Op : I->operands())
+        hashOperand(D, Locals, Op);
+    }
+  }
+}
+
+} // namespace
+
+StateHash Module::hash() const {
+  WordDigest D;
+  D.str(Name, static_cast<uint32_t>(Globals.size()));
+  for (const auto &G : Globals)
+    D.str(G->name(), G->sizeWords());
+  D.word(Funcs.size());
+  LocalIndex Locals;
+  for (const auto &F : Funcs)
+    hashFunction(D, Locals, *F);
+  return D.finish();
+}

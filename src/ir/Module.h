@@ -22,9 +22,10 @@
 /// the enclosing module), so a COW copy of one function never invalidates
 /// call sites in functions still shared with other modules.
 ///
-/// Modules are hashable (printed-form digest), which backs state identity
-/// in the transition database, the observation caches and the snapshot
-/// store.
+/// Modules are hashable: hash() digests the content the printer renders in
+/// one read-only walk, without building the text. The digest backs state
+/// identity in the transition database, the observation caches and the
+/// snapshot store.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,8 +114,22 @@ public:
   /// function triggers unshareFunction() in the pass layer.
   std::unique_ptr<Module> share() const;
 
-  /// Digest of the printed form; stable state identity for the transition
-  /// database and nondeterminism detection.
+  /// Stable state identity for the transition database, the caches keyed
+  /// on LlvmSession::stateKey() and nondeterminism detection. One walk of
+  /// the IR, O(|module|), building no strings, absorbs what printModule()
+  /// renders: the module name; each global's name and size; per function
+  /// its name, noinline flag, return type and arguments; per block its
+  /// name; per instruction its name, opcode, type, predicate and alloca
+  /// size; and per operand a constant's type and bits, a global's or
+  /// callee's name, or a local value's definition index in its function.
+  ///
+  /// Invariant: modules that print differently hash differently (up to
+  /// 128-bit collision odds), and the digest is the same in every process,
+  /// because it reads no pointer values and no unordered-container order.
+  /// The converse does not hold: a value named like the printer's default
+  /// (e.g. "t5") and an unnamed one print alike but hash apart, so a
+  /// module re-parsed from its printed text may hash differently from the
+  /// original. Either case costs at most a cache miss.
   StateHash hash() const;
 
 private:

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A process-wide, content-addressed store of immutable module snapshots,
-/// keyed by the session state key (benchmark URI hash combined with the
-/// module's printed-form digest — the same identity the observation caches
-/// and the transition database use).
+/// keyed by the session state key (benchmark URI hash combined with
+/// Module::hash() — the same identity the observation caches and the
+/// transition database use).
 ///
 /// A snapshot is a frozen structural share (Module::share() of the stored
 /// module): publishing one costs O(#functions) pointer copies, restoring

@@ -161,10 +161,15 @@ public:
         for (const auto &I : BB->instructions())
           InLoop.insert(I.get());
 
+      // Hoist in function block order: Loop.Blocks is an unordered set of
+      // pointers, and its order would leak into the preheader's order.
       bool LocalChange = true;
       while (LocalChange) {
         LocalChange = false;
-        for (BasicBlock *BB : Loop.Blocks) {
+        for (const auto &Block : F.blocks()) {
+          BasicBlock *BB = Block.get();
+          if (!Loop.contains(BB))
+            continue;
           for (size_t I = 0; I < BB->size(); ++I) {
             Instruction *Inst = BB->instructions()[I].get();
             // Loads are only hoisted from effect-free loops and when the

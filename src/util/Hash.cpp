@@ -65,22 +65,3 @@ uint64_t compiler_gym::hashCombine(uint64_t Seed, uint64_t Value) {
   Seed ^= Seed >> 33;
   return Seed;
 }
-
-StateHash compiler_gym::hashBytes(std::string_view Bytes) {
-  // Five independently-seeded FNV lanes, finalized with avalanche mixing.
-  static const uint64_t Seeds[5] = {
-      0x243F6A8885A308D3ull, 0x13198A2E03707344ull, 0xA4093822299F31D0ull,
-      0x082EFA98EC4E6C89ull, 0x452821E638D01377ull};
-  StateHash Out;
-  for (int Lane = 0; Lane < 5; ++Lane) {
-    uint64_t H = Seeds[Lane];
-    for (unsigned char C : Bytes) {
-      H ^= C;
-      H *= 0x100000001B3ull;
-      H ^= H >> 29;
-    }
-    H = hashCombine(H, Bytes.size());
-    Out.Words[Lane] = static_cast<uint32_t>(H ^ (H >> 32));
-  }
-  return Out;
-}

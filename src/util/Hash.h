@@ -7,9 +7,9 @@
 /// \file
 /// StateHash: a 160-bit digest used wherever the paper uses SHA1 (state
 /// identity in the State Transition Dataset, replay validation, and
-/// reproducibility checks on compiler passes). The digest is a five-lane
-/// seeded FNV/mix construction: not cryptographic, but stable across runs
-/// and with negligible collision odds at our scale.
+/// reproducibility checks on compiler passes). ir::Module::hash() computes
+/// it: not cryptographic, but stable across runs and with negligible
+/// collision odds at our scale.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +41,6 @@ struct StateHash {
     return (static_cast<uint64_t>(Words[0]) << 32) | Words[1];
   }
 };
-
-/// Digests an arbitrary byte string.
-StateHash hashBytes(std::string_view Bytes);
 
 /// Combines two 64-bit hashes (boost-style).
 uint64_t hashCombine(uint64_t Seed, uint64_t Value);

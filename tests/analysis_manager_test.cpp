@@ -7,7 +7,8 @@
 // corpus of generated programs, running the pass under the AnalysisManager
 // must leave every cached analysis (dominators, loops, feature vectors)
 // byte-equal to a from-scratch recomputation. Plus the preservation-lie
-// detector, pass-instance reuse, and the incremental feature cache.
+// detector, pass-instance reuse, the incremental feature cache, and the
+// state digest over every state the corpus reaches.
 
 #include "analysis/Autophase.h"
 #include "analysis/FeatureCache.h"
@@ -27,6 +28,9 @@
 #include "passes/PassRegistry.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 using namespace compiler_gym;
 using namespace compiler_gym::ir;
@@ -412,12 +416,81 @@ TEST_P(DifferentialInvalidation, CachedAnalysesEqualFromScratch) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Corpus, DifferentialInvalidation,
-    ::testing::Values(DiffCase{201, "benchmark://csmith-v0"},
-                      DiffCase{202, "benchmark://csmith-v0"},
-                      DiffCase{203, "benchmark://npb-v0"},
-                      DiffCase{204, "benchmark://npb-v0"}));
+const DiffCase Corpus[] = {{201, "benchmark://csmith-v0"},
+                           {202, "benchmark://csmith-v0"},
+                           {203, "benchmark://npb-v0"},
+                           {204, "benchmark://npb-v0"}};
+
+INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialInvalidation,
+                         ::testing::ValuesIn(Corpus));
+
+// -- State digest over the corpus --------------------------------------------
+
+TEST(ModuleHash, DistinctPrintedStatesNeverShareADigest) {
+  // Every state the corpus reaches: each registered pass on a fresh copy
+  // of each program, and each step of one chain through every pass.
+  std::map<StateHash, std::string> TextOf;
+  auto Record = [&](const Module &M, const std::string &After) {
+    std::string Text = printModule(M);
+    StateHash H = M.hash();
+    auto [It, New] = TextOf.emplace(H, Text);
+    EXPECT_TRUE(New || It->second == Text)
+        << "two printed modules share digest " << H.hex() << " after "
+        << After;
+    EXPECT_EQ(M.share()->hash(), H) << "share() after " << After;
+    EXPECT_EQ(M.clone()->hash(), H) << "clone() after " << After;
+  };
+  // LlvmSession only re-keys a state when the pass reports a change.
+  auto RunAndCheck = [](PassManager &PM, Module &M, const std::string &Name) {
+    StateHash Before = M.hash();
+    auto Changed = PM.run(Name);
+    ASSERT_TRUE(Changed.isOk()) << Name << ": " << Changed.status().toString();
+    if (!*Changed) {
+      EXPECT_EQ(M.hash(), Before) << Name << " reported no change";
+    }
+  };
+
+  for (const DiffCase &C : Corpus) {
+    datasets::ProgramStyle Style = datasets::styleForDataset(C.Dataset);
+    auto Chain = datasets::generateProgram(C.ProgramSeed, Style, "m");
+    ASSERT_NE(Chain, nullptr);
+    PassManager ChainPM(*Chain);
+    Record(*Chain, "generation");
+    for (const std::string &Name : PassRegistry::instance().allNames()) {
+      auto M = datasets::generateProgram(C.ProgramSeed, Style, "m");
+      PassManager PM(*M);
+      RunAndCheck(PM, *M, Name);
+      Record(*M, Name);
+      RunAndCheck(ChainPM, *Chain, Name);
+      Record(*Chain, "chain " + Name);
+    }
+  }
+  // The passes must actually move the corpus for the check to mean much.
+  EXPECT_GT(TextOf.size(), 100u);
+}
+
+TEST(ModuleHash, ForkKeepsDigest) {
+  auto B = datasets::DatasetRegistry::instance().resolve(
+      "benchmark://cbench-v1/crc32");
+  ASSERT_TRUE(B.isOk());
+  envs::LlvmSession Session;
+  auto Spaces = Session.getActionSpaces();
+  ASSERT_TRUE(Session.init(Spaces[0], *B).isOk());
+  const auto &Actions = Spaces[0].ActionNames;
+  for (const char *Pass : {"mem2reg", "loop-simplify", "licm", "gvn"}) {
+    auto It = std::find(Actions.begin(), Actions.end(), Pass);
+    ASSERT_NE(It, Actions.end()) << Pass;
+    service::Action A;
+    A.Index = static_cast<int>(It - Actions.begin());
+    bool End = false, SpaceChanged = false;
+    ASSERT_TRUE(Session.applyAction(A, End, SpaceChanged).isOk());
+
+    auto Forked = Session.fork();
+    ASSERT_TRUE(Forked.isOk());
+    const auto *Clone = static_cast<envs::LlvmSession *>(Forked->get());
+    EXPECT_EQ(Clone->module()->hash(), Session.module()->hash()) << Pass;
+  }
+}
 
 // -- Session-level composition ----------------------------------------------
 

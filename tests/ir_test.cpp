@@ -132,14 +132,56 @@ TEST(Module, HashDetectsAnyChange) {
   EXPECT_NE(M->hash(), Before);
 }
 
+TEST(Module, ReparsedModulePrintsAlikeButMayHashApart) {
+  // The one intended difference from the printed form: an unnamed value
+  // printed under a default name ("t0") and a value named "t0" render
+  // alike, but the digest reads the names the IR holds.
+  auto M = buildDiamond();
+  auto Reparsed = parseModule(printModule(*M));
+  ASSERT_TRUE(Reparsed.isOk());
+  EXPECT_EQ(printModule(**Reparsed), printModule(*M));
+  EXPECT_NE((*Reparsed)->hash(), M->hash());
+  // Once every name is explicit, printing and re-parsing keeps the digest.
+  auto Again = parseModule(printModule(**Reparsed));
+  ASSERT_TRUE(Again.isOk());
+  EXPECT_EQ((*Again)->hash(), (*Reparsed)->hash());
+}
+
+TEST(Module, HashFollowsOperandsDefinedElsewhere) {
+  // Malformed IR: @g reads @f's arguments, which are all named "x". The
+  // digest must still tell apart what prints apart ("%x" reused versus
+  // "%x.19"), past the point where its local-index table grows.
+  auto Build = [](size_t LastArg) {
+    auto M = std::make_unique<Module>("m");
+    Function *F = M->createFunction("f", Type::I64);
+    std::vector<Argument *> Xs;
+    for (int I = 0; I < 20; ++I)
+      Xs.push_back(F->addArgument(Type::I64, "x"));
+    Function *G = M->createFunction("g", Type::I64);
+    IRBuilder B(G->createBlock("entry"));
+    Value *Sum = Xs[0];
+    for (size_t I = 1; I < 19; ++I)
+      Sum = B.createAdd(Sum, Xs[I]);
+    B.createRet(B.createAdd(Sum, Xs[LastArg]));
+    return M;
+  };
+  auto Distinct = Build(19);
+  auto Reused = Build(0);
+  EXPECT_NE(printModule(*Distinct), printModule(*Reused));
+  EXPECT_NE(Distinct->hash(), Reused->hash());
+  EXPECT_EQ(Distinct->hash(), Build(19)->hash());
+}
+
 TEST(StateHash, HexRoundTrip) {
-  StateHash H = hashBytes("hello world");
+  auto M = buildDiamond();
+  StateHash H = M->hash();
   StateHash Parsed;
   ASSERT_TRUE(StateHash::fromHex(H.hex(), Parsed));
   EXPECT_EQ(Parsed, H);
   EXPECT_FALSE(StateHash::fromHex("xyz", Parsed));
   EXPECT_FALSE(StateHash::fromHex(std::string(40, 'g'), Parsed));
-  EXPECT_NE(hashBytes("a").hex(), hashBytes("b").hex());
+  M->setName("other");
+  EXPECT_NE(M->hash().hex(), H.hex());
 }
 
 TEST(Function, ReplaceAllUsesWith) {

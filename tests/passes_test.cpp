@@ -10,6 +10,7 @@
 #include "analysis/Rewards.h"
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
+#include "datasets/DatasetRegistry.h"
 #include "ir/Dominators.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -19,6 +20,8 @@
 #include "passes/Pipelines.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace compiler_gym;
 using namespace compiler_gym::ir;
@@ -511,6 +514,41 @@ exit:
   for (const auto &I : Body->instructions())
     MulInBody |= I->opcode() == Opcode::Mul;
   EXPECT_FALSE(MulInBody);
+}
+
+TEST(Passes, LicmIsDeterministic) {
+  // licm must hoist in an order fixed by the IR, not by where the loop's
+  // blocks landed on the heap. Re-parse each program twelve times, with
+  // allocations of varied sizes made and partly freed between runs so the
+  // blocks move, and require one printed module per program and pass.
+  std::vector<std::string> Uris;
+  for (const char *Name : {"crc32", "qsort", "sha", "bitcount"})
+    Uris.push_back(std::string("benchmark://cbench-v1/") + Name);
+  for (int Seed = 0; Seed < 16; ++Seed)
+    Uris.push_back("benchmark://csmith-v0/" + std::to_string(Seed));
+
+  std::vector<std::unique_ptr<char[]>> Churn;
+  for (const std::string &Uri : Uris) {
+    auto B = datasets::DatasetRegistry::instance().resolve(Uri);
+    ASSERT_TRUE(B.isOk()) << Uri;
+    for (const char *Licm : {"licm", "licm-promote"}) {
+      std::set<std::string> Printed;
+      for (int Run = 0; Run < 12; ++Run) {
+        std::vector<std::unique_ptr<char[]>> Transient;
+        for (size_t K = 0; K < 64; ++K) {
+          size_t Bytes = 16 + (Run * 64 + K) * 40 % 480;
+          auto &Dst = K % 2 ? Churn : Transient;
+          Dst.push_back(std::make_unique<char[]>(Bytes));
+        }
+        auto M = parse(B->IrText);
+        ASSERT_NE(M, nullptr);
+        for (const char *Pass : {"mem2reg", "loop-simplify", Licm})
+          ASSERT_TRUE(runPass(*M, Pass).isOk()) << Uri << " " << Pass;
+        Printed.insert(printModule(*M));
+      }
+      EXPECT_EQ(Printed.size(), 1u) << Uri << " " << Licm;
+    }
+  }
 }
 
 TEST(Passes, LoopDeleteRemovesDeadLoops) {
