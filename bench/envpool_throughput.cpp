@@ -24,6 +24,7 @@
 
 #include "bench/BenchUtils.h"
 #include "core/Registry.h"
+#include "fault/FaultRegistry.h"
 #include "runtime/EnvPool.h"
 #include "util/Rng.h"
 #include "util/Timer.h"
@@ -82,14 +83,21 @@ struct PoolRun {
   uint64_t CacheHits = 0;
 };
 
-/// Aggregate steps/sec of an EnvPool collecting the same workload.
-PoolRun poolStepsPerSec(size_t Workers, int Episodes, uint64_t CrashAfterOps) {
+/// Aggregate steps/sec of an EnvPool collecting the same workload. With
+/// \p Crashy, every backend operation crashes its shard with probability
+/// 1/40, for the whole run.
+PoolRun poolStepsPerSec(size_t Workers, int Episodes, bool Crashy) {
   EnvPoolOptions Opts;
   Opts.EnvId = "llvm-v0";
   Opts.Make = workloadOptions();
   Opts.NumWorkers = Workers;
-  Opts.Broker.Faults.CrashAfterOps = CrashAfterOps;
-  Opts.Broker.MonitorIntervalMs = CrashAfterOps ? 5 : 0;
+  Opts.Broker.MonitorIntervalMs = Crashy ? 5 : 0;
+  fault::FaultPlanSpec Plan;
+  if (Crashy)
+    Plan.Rules.push_back({.Point = "service.handle",
+                          .Kind = fault::FaultKind::Crash,
+                          .Probability = 1.0 / 40});
+  fault::ScopedFaultPlan Armed(Plan);
   auto Pool = EnvPool::create(Opts);
   if (!Pool.isOk()) {
     std::fprintf(stderr, "pool setup failed: %s\n",
@@ -144,7 +152,7 @@ int main() {
   double SpeedupAt8 = 0.0;
   size_t EpisodesAt8 = 0;
   for (size_t Workers : WorkerCounts) {
-    PoolRun Run = poolStepsPerSec(Workers, Episodes, /*CrashAfterOps=*/0);
+    PoolRun Run = poolStepsPerSec(Workers, Episodes, /*Crashy=*/false);
     double Speedup = Run.StepsPerSec / Single;
     if (Workers == 2)
       SpeedupAt2 = Speedup;
@@ -160,7 +168,7 @@ int main() {
   }
 
   // Faulted fleet: every shard crashes repeatedly under load.
-  PoolRun Faulted = poolStepsPerSec(8, Episodes, /*CrashAfterOps=*/40);
+  PoolRun Faulted = poolStepsPerSec(8, Episodes, /*Crashy=*/true);
   std::printf("%-34s %10.1f steps/s  (x%.2f)  recoveries=%llu restarts=%llu\n",
               "pool 8 workers + crash faults", Faulted.StepsPerSec,
               Faulted.StepsPerSec / Single,

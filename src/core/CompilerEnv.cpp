@@ -76,17 +76,8 @@ CompilerEnv::~CompilerEnv() {
 
 StatusOr<std::unique_ptr<CompilerEnv>>
 CompilerEnv::create(const CompilerEnvOptions &Opts) {
-  auto Service = std::make_shared<CompilerService>(Opts.Faults);
-  std::shared_ptr<ServiceClient> Client;
-  if (Opts.UseFlakyTransport) {
-    auto Base = std::make_shared<QueueTransport>(
-        [Service](const std::string &Bytes) { return Service->handle(Bytes); });
-    auto Flaky = std::make_shared<FlakyTransport>(Base,
-                                                  Opts.TransportFaultPlan);
-    Client = std::make_shared<ServiceClient>(Service, Flaky, Opts.Client);
-  } else {
-    Client = std::make_shared<ServiceClient>(Service, Opts.Client);
-  }
+  auto Service = std::make_shared<CompilerService>();
+  auto Client = std::make_shared<ServiceClient>(Service, Opts.Client);
   std::unique_ptr<CompilerEnv> Env(
       new CompilerEnv(Opts, std::move(Service), std::move(Client)));
   Env->Registry.setBuiltinRewards(rewardSpecsFor(Opts.CompilerName));

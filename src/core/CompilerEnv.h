@@ -44,10 +44,7 @@ struct CompilerEnvOptions {
   std::string ObservationSpace = "Autophase"; ///< Default obs; "" = none.
   std::string RewardSpace = "IrInstructionCount"; ///< "" = no reward.
   std::string ActionSpaceName;        ///< "" = backend default.
-  service::FaultPlan Faults;          ///< Backend fault injection (tests).
   service::ClientOptions Client;
-  service::TransportFaults TransportFaultPlan; ///< Channel fault injection.
-  bool UseFlakyTransport = false;
 };
 
 /// The concrete Gym environment over a compiler service.

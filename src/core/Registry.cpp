@@ -65,10 +65,7 @@ core::resolveMakeOptions(const std::string &EnvId, const MakeOptions &Opts) {
     if (EnvOpts.RewardSpace == "none")
       EnvOpts.RewardSpace.clear();
     EnvOpts.ActionSpaceName = Opts.ActionSpaceName;
-    EnvOpts.Faults = Opts.Faults;
     EnvOpts.Client = Opts.Client;
-    EnvOpts.TransportFaultPlan = Opts.TransportFaultPlan;
-    EnvOpts.UseFlakyTransport = Opts.UseFlakyTransport;
     return EnvOpts;
   }
   return notFound("no environment '" + EnvId +

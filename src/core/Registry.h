@@ -35,10 +35,7 @@ struct MakeOptions {
   std::string ObservationSpace; ///< "" = env default.
   std::string RewardSpace;      ///< "" = env default.
   std::string ActionSpaceName;  ///< "" = backend default.
-  service::FaultPlan Faults;
   service::ClientOptions Client;
-  service::TransportFaults TransportFaultPlan;
-  bool UseFlakyTransport = false;
 };
 
 /// Instantiates a registered environment.

@@ -17,12 +17,16 @@
 /// points; the same seed always yields the same fault schedule, so a chaos
 /// soak that fails is replayable bit-for-bit.
 ///
-/// Draw stability (the PR 8 FlakyTransport guarantee, generalized): each
-/// rule owns an independent RNG stream seeded from (plan seed, rule index),
-/// and rules whose probability is degenerate (<= 0 or >= 1) consume no
-/// draws at all. Adding, disabling, or re-ordering unrelated rules can
-/// therefore never shift the fault schedule of the rules you kept —
-/// the property that makes seeded chaos plans composable.
+/// The registry is the only fault injector: backend crashes and hangs are
+/// rules at service.handle, and channel drops, resets, garbling and
+/// latency are rules at the transport points every ServiceClient passes.
+///
+/// Draw stability: each rule owns an independent RNG stream seeded from
+/// (plan seed, rule index), and rules whose probability is degenerate
+/// (<= 0 or >= 1) consume no draws at all. Adding, disabling, or
+/// re-ordering unrelated rules can therefore never shift the fault
+/// schedule of the rules you kept — the property that makes seeded chaos
+/// plans composable.
 ///
 /// Known fault points (see docs/robustness.md for the catalogue):
 ///   service.handle        — before dispatch in CompilerService::handleLocked
@@ -30,7 +34,9 @@
 ///   passes.run            — before each pass in PassManager::run
 ///   snapshot.restore      — in LlvmSession::restore before the store lookup
 ///   gateway.backend_call  — around the gateway's shard round-trip
-///   transport.round_trip  — in fault::ChaosTransport around any Transport
+///   transport.round_trip  — in ServiceClient before each attempt's
+///                           Channel->roundTrip
+///   transport.reply       — in ServiceClient after each attempt's reply
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +62,7 @@ enum class FaultKind {
   Crash,   ///< Simulate a backend crash (site marks the service crashed).
   Delay,   ///< Sleep DelayMs at the point (cancellation-aware by default).
   Error,   ///< Return a typed Status (Code/Message) from the point.
-  Corrupt, ///< Site-specific data corruption (e.g. flip a reply byte).
+  Corrupt, ///< Truncate the reply to half its length: it never decodes.
 };
 
 const char *faultKindName(FaultKind K);
@@ -76,7 +82,7 @@ struct FaultRule {
   /// watchdog can clear.
   bool CancelAware = true;
   StatusCode Code = StatusCode::Unavailable; ///< Error faults: status code.
-  std::string Message;                       ///< Error faults: message.
+  std::string Message{};                     ///< Error faults: message.
 };
 
 /// A complete seeded chaos plan. Same spec => same fault schedule.
@@ -98,6 +104,14 @@ struct FaultAction {
   bool isCrash() const { return Fired && Kind == FaultKind::Crash; }
   bool isError() const { return Fired && Kind == FaultKind::Error; }
   bool isCorrupt() const { return Fired && Kind == FaultKind::Corrupt; }
+
+  /// Applies a Corrupt fault to \p Reply by truncating it to half its
+  /// length. A strict prefix of an encoded message never decodes, so a
+  /// corrupt reply can never pass for a good one. No-op for other actions.
+  void corruptReply(std::string &Reply) const {
+    if (isCorrupt())
+      Reply.resize(Reply.size() / 2);
+  }
 };
 
 /// Process-wide fault-point registry. Thread-safe; the disarmed fast path
@@ -156,6 +170,19 @@ inline FaultAction faultPoint(const char *Point,
     return {};
   return R.evaluate(Point, Cancel);
 }
+
+/// Installs a plan for the lifetime of a scope and clears the registry on
+/// exit, so a failing test or bench cannot leak an armed plan into the
+/// code that runs after it.
+class ScopedFaultPlan {
+public:
+  explicit ScopedFaultPlan(const FaultPlanSpec &Plan) {
+    FaultRegistry::global().install(Plan);
+  }
+  ~ScopedFaultPlan() { FaultRegistry::global().clear(); }
+  ScopedFaultPlan(const ScopedFaultPlan &) = delete;
+  ScopedFaultPlan &operator=(const ScopedFaultPlan &) = delete;
+};
 
 /// Canonical spelling for marking a fault point in production code.
 #define CG_FAULT_POINT(PointName, CancelTok)                                   \

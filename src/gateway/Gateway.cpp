@@ -228,7 +228,6 @@ struct Gateway::Impl {
   static runtime::BrokerOptions brokerOptions(const GatewayOptions &O) {
     runtime::BrokerOptions B;
     B.NumShards = std::max<size_t>(1, O.NumShards);
-    B.Faults = O.ShardFaults;
     B.MonitorIntervalMs = O.MonitorIntervalMs;
     B.StallWindowMs = O.StallWindowMs;
     return B;
@@ -713,10 +712,14 @@ struct Gateway::Impl {
       S.EwmaUs.store(Old == 0 ? TookUs : (3 * Old + TookUs) / 4,
                      std::memory_order_relaxed);
     }
-    if (F.isCorrupt() && Raw.size() > 1)
-      Raw[Raw.size() / 2] ^= 0x5A;
+    F.corruptReply(Raw);
     StatusOr<ReplyEnvelope> Reply = service::decodeReply(Raw);
-    if (Reply.isOk() && RawOut)
+    // The shard link carries no checksum: an undecodable reply is a link
+    // fault the client recovers from, not a malformed client request.
+    if (!Reply.isOk())
+      return unavailable("garbled backend reply: " +
+                         Reply.status().message());
+    if (RawOut)
       *RawOut = std::move(Raw);
     return Reply;
   }

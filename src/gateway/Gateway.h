@@ -93,8 +93,6 @@ struct GatewayOptions {
   /// carrying a client deadline (RequestEnvelope::DeadlineMs) cap this
   /// further to their remaining budget.
   int BackendTimeoutMs = 10000;
-  /// Fault plan applied to every shard (robustness tests).
-  service::FaultPlan ShardFaults;
   /// Broker monitor sweep interval (restarts crashed shards); 0 disables.
   int MonitorIntervalMs = 20;
   /// Hung-shard watchdog stall window, passed through to the broker

@@ -11,11 +11,6 @@ using namespace compiler_gym::passes;
 
 Pass::~Pass() = default;
 
-bool Pass::runOnModule(ir::Module &M) {
-  AnalysisManager AM;
-  return run(M, AM).Changed;
-}
-
 PassResult FunctionPass::run(ir::Module &M, AnalysisManager &AM) {
   // This loop is the copy-on-write choke point: every function-scoped
   // mutation in the pass pipeline flows through here, so a payload shared

@@ -45,10 +45,6 @@ public:
   /// call AM.functionErased() before deleting a function.
   virtual PassResult run(ir::Module &M, AnalysisManager &AM) = 0;
 
-  /// Legacy convenience: runs under a throwaway AnalysisManager and
-  /// returns only the changed bit.
-  bool runOnModule(ir::Module &M);
-
   /// Passes that intentionally exhibit nondeterminism (for the
   /// reproducibility-validation machinery) override this to return false.
   virtual bool isDeterministic() const { return true; }

@@ -38,9 +38,7 @@ namespace runtime {
 
 struct EnvPoolOptions {
   std::string EnvId = "llvm-v0";
-  /// Per-env settings (benchmark/observation/reward). MakeOptions::Faults
-  /// is not applied here — backend faults are a property of the shard
-  /// fleet, so set BrokerOptions::Faults instead.
+  /// Per-env settings (benchmark/observation/reward/client policy).
   core::MakeOptions Make;
   size_t NumWorkers = 4; ///< M concurrently stepped environments.
   /// Broker configuration. Broker.NumShards == 0 means one shard per

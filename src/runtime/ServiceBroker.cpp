@@ -51,7 +51,7 @@ ServiceBroker::ServiceBroker(BrokerOptions Opts) : Opts(Opts) {
 
 std::unique_ptr<ServiceBroker::Shard> ServiceBroker::makeShard() {
   auto S = std::make_unique<Shard>();
-  S->Service = std::make_shared<service::CompilerService>(Opts.Faults);
+  S->Service = std::make_shared<service::CompilerService>();
   if (ObsCache)
     S->Service->setObservationCache(ObsCache);
   // One dispatcher thread per shard: the process boundary of the paper's

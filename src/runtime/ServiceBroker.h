@@ -8,9 +8,9 @@
 /// ServiceBroker: owns a fleet of CompilerService shards — each a service
 /// instance behind its own QueueTransport dispatcher thread, the in-process
 /// stand-in for one backend process — and routes environment sessions to
-/// the least-loaded shard. A monitor thread watches the shards through the
-/// same FaultPlan machinery the single-env robustness tests use: a shard
-/// whose service reports crashed() is restarted in place. Environments
+/// the least-loaded shard. A monitor thread watches the shards: a shard
+/// whose service reports crashed() (a real fault, or a fault::FaultRegistry
+/// crash rule at service.handle) is restarted in place. Environments
 /// attached through the broker (CompilerEnv::attach) then re-establish
 /// their sessions by replaying their action histories, which scales the
 /// paper's §IV-B crash-recovery semantics from one env/one service to a
@@ -49,8 +49,6 @@ namespace runtime {
 
 struct BrokerOptions {
   size_t NumShards = 2;
-  /// Fault plan applied to every shard (robustness tests / benches).
-  service::FaultPlan Faults;
   /// Call policy for clients minted by makeClient().
   service::ClientOptions Client;
   /// Monitor sweep interval; 0 disables the monitor thread (tests can
@@ -59,7 +57,8 @@ struct BrokerOptions {
   /// Hung-shard watchdog: a shard busy for this long with no heartbeat
   /// progress is declared wedged and force-restarted by replacement.
   /// 0 disables the watchdog (the default: legitimate non-polling work —
-  /// e.g. the FaultPlan hang tests — must not be misread as a wedge).
+  /// e.g. the non-cancel-aware delay rules of the hang tests — must not be
+  /// misread as a wedge).
   /// Size it to several times the longest honest pause between heartbeat
   /// polls (pass boundaries / per-function polls), plus monitor jitter.
   int StallWindowMs = 0;

@@ -12,8 +12,6 @@
 #include "util/Logging.h"
 #include "util/Timer.h"
 
-#include <thread>
-
 using namespace compiler_gym;
 using namespace compiler_gym::service;
 
@@ -111,7 +109,7 @@ Counter &fullRepliesTotal() {
 
 } // namespace
 
-CompilerService::CompilerService(FaultPlan Plan) : Plan(Plan) {
+CompilerService::CompilerService() {
   // Pre-register (PR 6 convention): the zero-valued series shows up on the
   // first scrape, before any deadline is ever missed.
   (void)deadlineExceededServiceTotal();
@@ -129,11 +127,6 @@ void CompilerService::restart() {
   AbortRequested.store(false, std::memory_order_relaxed);
   OpsHandled.store(0, std::memory_order_relaxed);
   CG_LOG_INFO_FOR("service", 0) << "compiler service restarted";
-}
-
-uint64_t CompilerService::deltaRepliesSent() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return DeltaRepliesSent;
 }
 
 void CompilerService::setObservationCache(
@@ -187,11 +180,12 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
   ReplyEnvelope Reply;
   std::lock_guard<std::mutex> Lock(Mutex);
   // Retry of a request we already executed: replay the stored reply. This
-  // is checked before the fault-plan op accounting — a dedup hit performs
-  // no compiler work. DeadlineExceeded replies are cached like any other
-  // executed result: the retry of a logical call only ever has *less*
-  // budget, so replaying the stored rejection is always correct, and it
-  // keeps a partially-applied batch from being applied twice.
+  // is checked before the op accounting and the service.handle fault
+  // point — a dedup hit performs no compiler work. DeadlineExceeded
+  // replies are cached like any other executed result: the retry of a
+  // logical call only ever has *less* budget, so replaying the stored
+  // rejection is always correct, and it keeps a partially-applied batch
+  // from being applied twice.
   if (Req.RequestId) {
     auto Served = ServedReplies.find(Req.RequestId);
     if (Served != ServedReplies.end()) {
@@ -199,9 +193,7 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
       return Served->second;
     }
   }
-  uint64_t Op = OpsHandled.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (Plan.HangOnOp && Op == Plan.HangOnOp)
-    std::this_thread::sleep_for(std::chrono::milliseconds(Plan.HangMs));
+  OpsHandled.fetch_add(1, std::memory_order_relaxed);
   if (fault::FaultAction F = CG_FAULT_POINT("service.handle", &Token)) {
     if (F.isCrash())
       Crashed.store(true, std::memory_order_relaxed);
@@ -214,8 +206,6 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
       return encodeReply(Reply);
     }
   }
-  if (Plan.CrashAfterOps && Op > Plan.CrashAfterOps)
-    Crashed.store(true, std::memory_order_relaxed);
   if (Crashed.load(std::memory_order_relaxed)) {
     Reply.Code = StatusCode::Aborted;
     Reply.ErrorMessage = "compiler service crashed";
@@ -408,7 +398,6 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
         Delta.IsDelta = true;
         Delta.StateKey = CurKey;
         Delta.BaseKey = BaseKey;
-        ++DeltaRepliesSent;
         deltaRepliesTotal().inc();
         Reply.Step.Observations.push_back(std::move(Delta));
         continue;
@@ -450,7 +439,6 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
         if (Base && encodeObservationDelta(*Base, Obs, Delta)) {
           Delta.StateKey = CurKey;
           Delta.BaseKey = BaseKey;
-          ++DeltaRepliesSent;
           deltaRepliesTotal().inc();
           LastSent[Req.Step.SessionId][SpaceName] = std::move(Obs);
           Reply.Step.Observations.push_back(std::move(Delta));

@@ -7,10 +7,10 @@
 /// \file
 /// The common compiler-service runtime (§IV-B): hosts CompilationSession
 /// instances behind the message protocol, independent of any particular
-/// compiler. Includes the fault-injection hooks used to test the
-/// frontend's crash recovery (a FaultPlan can make the service "crash"
-/// after N operations or hang on a specific operation, standing in for
-/// real compiler segfaults and infinite loops).
+/// compiler. Its fault points (service.handle, service.apply_actions) let
+/// a fault::FaultRegistry plan make the service "crash" or hang on chosen
+/// operations, standing in for real compiler segfaults and infinite loops
+/// when testing the frontend's crash recovery.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,13 +29,6 @@
 
 namespace compiler_gym {
 namespace service {
-
-/// Fault-injection plan for robustness testing.
-struct FaultPlan {
-  uint64_t CrashAfterOps = 0; ///< >0: service dies after N operations.
-  uint64_t HangOnOp = 0;      ///< >0: operation N sleeps HangMs.
-  int HangMs = 200;
-};
 
 /// Interface to a cross-service observation cache. Implemented by
 /// runtime::ObservationCache; declared here so the service layer does not
@@ -57,7 +50,7 @@ public:
 /// Hosts sessions; decodes requests, dispatches, encodes replies.
 class CompilerService {
 public:
-  explicit CompilerService(FaultPlan Plan = {});
+  CompilerService();
 
   /// The transport handler: one serialized request in, one serialized
   /// reply out. Thread-compatible (called from the dispatcher thread).
@@ -96,12 +89,9 @@ public:
   /// watchdog uses it to bounce every op still queued behind a wedge with
   /// Aborted so clients fail over instead of waiting out their timeouts.
   void markCrashed() { Crashed.store(true, std::memory_order_relaxed); }
-  /// Observations answered as deltas instead of full payloads (telemetry
-  /// for the wire-delta tests and benches).
-  uint64_t deltaRepliesSent() const;
 
 private:
-  /// The mutex-guarded request path (dedup window, fault plan, dispatch,
+  /// The mutex-guarded request path (dedup window, fault point, dispatch,
   /// reply encoding); handle() wraps it with trace binding, the request's
   /// cancel token, and telemetry.
   std::string handleLocked(const RequestEnvelope &Req,
@@ -109,7 +99,6 @@ private:
   ReplyEnvelope dispatch(const RequestEnvelope &Req,
                          const util::CancelToken &Token);
 
-  FaultPlan Plan;
   mutable std::mutex Mutex;
   /// Atomics below: read by broker monitor threads without taking Mutex
   /// (a watchdog that needed the Mutex would block behind the very wedge
@@ -137,7 +126,6 @@ private:
   /// installed. Bounded by live sessions x delta-eligible spaces; dropped
   /// on EndSession and restart().
   std::map<uint64_t, std::unordered_map<std::string, Observation>> LastSent;
-  uint64_t DeltaRepliesSent = 0;
 };
 
 } // namespace service

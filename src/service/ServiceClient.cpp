@@ -6,6 +6,7 @@
 
 #include "service/ServiceClient.h"
 
+#include "fault/FaultRegistry.h"
 #include "telemetry/MetricsRegistry.h"
 #include "telemetry/Trace.h"
 #include "util/Logging.h"
@@ -174,6 +175,27 @@ int ServiceClient::backoffDelayMs(int Attempt, uint32_t RetryAfterHintMs) {
   return static_cast<int>(DelayMs);
 }
 
+StatusOr<std::string> ServiceClient::roundTrip(const std::string &Bytes,
+                                               int TimeoutMs) {
+  fault::FaultAction Req = CG_FAULT_POINT("transport.round_trip", nullptr);
+  if (Req.isError())
+    return Req.Error;
+  if (Req.isCrash())
+    return unavailable("injected transport disconnect");
+  StatusOr<std::string> Reply = Channel->roundTrip(Bytes, TimeoutMs);
+  if (!Reply.isOk())
+    return Reply;
+  fault::FaultAction Resp = CG_FAULT_POINT("transport.reply", nullptr);
+  if (Resp.isError())
+    return Resp.Error;
+  if (Resp.isCrash())
+    return unavailable("injected transport disconnect (reply)");
+  // A corrupt reply never decodes, so it reaches the garbled-reply retry.
+  Req.corruptReply(*Reply);
+  Resp.corruptReply(*Reply);
+  return Reply;
+}
+
 StatusOr<ReplyEnvelope> ServiceClient::callAttempts(RequestEnvelope &Req) {
   // With deadline propagation, TimeoutMs is an *overall* per-call budget:
   // every attempt is stamped with (and waits no longer than) the budget
@@ -222,8 +244,7 @@ StatusOr<ReplyEnvelope> ServiceClient::callAttempts(RequestEnvelope &Req) {
     rpcAttemptsTotal().inc();
     WireBytesSent += Bytes.size();
     wireBytes(true).inc(Bytes.size());
-    StatusOr<std::string> ReplyBytes = Channel->roundTrip(Bytes,
-                                                          AttemptTimeoutMs);
+    StatusOr<std::string> ReplyBytes = roundTrip(Bytes, AttemptTimeoutMs);
     if (ReplyBytes.isOk()) {
       WireBytesReceived += ReplyBytes->size();
       wireBytes(false).inc(ReplyBytes->size());

@@ -19,6 +19,7 @@
 
 #include "service/CompilerService.h"
 #include "service/Transport.h"
+#include "util/Rng.h"
 
 #include <memory>
 
@@ -51,11 +52,12 @@ struct ClientOptions {
 /// A connection to one compiler service.
 class ServiceClient {
 public:
-  /// Connects through an explicit transport (tests inject FlakyTransport;
-  /// remote clients pass a net::SocketTransport). \p Service may be null
-  /// for remote channels: there is no in-process backend to restart, so
-  /// restartService() becomes a no-op and recovery is the server fleet's
-  /// job (broker monitor / gateway).
+  /// Connects through an explicit transport (remote clients pass a
+  /// net::SocketTransport; tests pass fakes). Every attempt passes the
+  /// transport.round_trip and transport.reply fault points, whatever the
+  /// channel. \p Service may be null for remote channels: there is no
+  /// in-process backend to restart, so restartService() becomes a no-op
+  /// and recovery is the server fleet's job (broker monitor / gateway).
   ServiceClient(std::shared_ptr<CompilerService> Service,
                 std::shared_ptr<Transport> Channel, ClientOptions Opts = {});
 
@@ -97,6 +99,9 @@ private:
   StatusOr<ReplyEnvelope> call(RequestEnvelope &Req);
   /// The retry loop proper (split out so call() can time it end-to-end).
   StatusOr<ReplyEnvelope> callAttempts(RequestEnvelope &Req);
+  /// One attempt's Channel->roundTrip between the transport.round_trip
+  /// and transport.reply fault points.
+  StatusOr<std::string> roundTrip(const std::string &Bytes, int TimeoutMs);
 
   /// Delay before retry \p Attempt: capped exponential backoff with ±50%
   /// jitter, never less than \p RetryAfterHintMs (a typed backpressure

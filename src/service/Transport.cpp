@@ -57,38 +57,3 @@ StatusOr<std::string> QueueTransport::roundTrip(const std::string &Bytes,
                             "ms");
   return Future.get();
 }
-
-StatusOr<std::string> FlakyTransport::roundTrip(const std::string &Bytes,
-                                                int TimeoutMs) {
-  double DropRoll, GarbageRoll, DisconnectRoll, PartialRoll;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    DropRoll = Gen.uniform();
-    GarbageRoll = Gen.uniform();
-    // Disabled faults must not consume draws: fault sequences are seeded
-    // and tests depend on the stream staying stable per configuration.
-    DisconnectRoll = Faults.DisconnectProbability > 0 ? Gen.uniform() : 1.0;
-    PartialRoll = Faults.PartialWriteProbability > 0 ? Gen.uniform() : 1.0;
-  }
-  if (Faults.ExtraLatencyMs > 0)
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(Faults.ExtraLatencyMs));
-  if (DisconnectRoll < Faults.DisconnectProbability)
-    return unavailable("connection reset by flaky transport");
-  if (DropRoll < Faults.DropProbability)
-    return deadlineExceeded("reply dropped by flaky transport");
-  StatusOr<std::string> Reply = Inner->roundTrip(Bytes, TimeoutMs);
-  if (!Reply.isOk())
-    return Reply;
-  if (PartialRoll < Faults.PartialWriteProbability)
-    return Reply->substr(0, Reply->size() / 2);
-  if (GarbageRoll < Faults.GarbageProbability) {
-    std::string Corrupted = *Reply;
-    if (!Corrupted.empty())
-      Corrupted[Corrupted.size() / 2] ^= 0x5A;
-    else
-      Corrupted = "\xFF\xFF";
-    return Corrupted;
-  }
-  return Reply;
-}

@@ -8,16 +8,16 @@
 /// The byte-level channel between frontend and backend. The paper runs
 /// compiler services in separate processes behind gRPC; here the boundary
 /// is preserved as serialized messages crossing a queue to a dedicated
-/// service thread (QueueTransport), with an optional fault-injecting
-/// wrapper (FlakyTransport) used by the robustness tests to simulate the
-/// network dropping, delaying or corrupting traffic.
+/// service thread (QueueTransport). Channel faults (drops, resets,
+/// garbled replies, latency) are injected by fault::FaultRegistry rules
+/// at the transport points ServiceClient passes on every attempt, so any
+/// Transport takes them without a wrapper.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPILER_GYM_SERVICE_TRANSPORT_H
 #define COMPILER_GYM_SERVICE_TRANSPORT_H
 
-#include "util/Rng.h"
 #include "util/Status.h"
 
 #include <condition_variable>
@@ -71,37 +71,6 @@ private:
   std::deque<Call> Queue;
   bool Stopping = false;
   std::thread Dispatcher;
-};
-
-/// Fault plan for FlakyTransport.
-struct TransportFaults {
-  double DropProbability = 0.0;    ///< Reply never arrives (client times out).
-  double GarbageProbability = 0.0; ///< Reply is corrupted bytes.
-  /// The channel itself fails before the request is delivered — the socket
-  /// analogue of a connection reset. Surfaces as Unavailable, the
-  /// reconnect-shaped failure ServiceClient's backoff policy retries.
-  double DisconnectProbability = 0.0;
-  /// The reply is cut off mid-stream (a partial write on the peer): the
-  /// client receives a truncated buffer that fails to decode.
-  double PartialWriteProbability = 0.0;
-  int ExtraLatencyMs = 0;          ///< Added to every call.
-  uint64_t Seed = 0x5EED;
-};
-
-/// Wraps another transport and injects faults. Deterministic per seed.
-class FlakyTransport : public Transport {
-public:
-  FlakyTransport(std::shared_ptr<Transport> Inner, TransportFaults Faults)
-      : Inner(std::move(Inner)), Faults(Faults), Gen(Faults.Seed) {}
-
-  StatusOr<std::string> roundTrip(const std::string &RequestBytes,
-                                  int TimeoutMs) override;
-
-private:
-  std::shared_ptr<Transport> Inner;
-  TransportFaults Faults;
-  Rng Gen;
-  std::mutex Mutex;
 };
 
 } // namespace service

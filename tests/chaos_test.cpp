@@ -14,7 +14,6 @@
 #include "core/Registry.h"
 #include "datasets/DatasetRegistry.h"
 #include "envs/llvm/LlvmSession.h"
-#include "fault/ChaosTransport.h"
 #include "fault/FaultRegistry.h"
 #include "gateway/Gateway.h"
 #include "net/SocketTransport.h"
@@ -53,6 +52,12 @@ telemetry::Counter &replayedActionsTotal() {
   return telemetry::MetricsRegistry::global().counter(
       "cg_env_replayed_actions_total", {},
       "Actions replayed into fresh sessions during recovery");
+}
+
+telemetry::Counter &corruptFaultsTotal() {
+  return telemetry::MetricsRegistry::global().counter(
+      "cg_fault_injected_total", {{"kind", "corrupt"}},
+      "Faults fired by the chaos registry");
 }
 
 /// The fixed soak workload: deterministic action sequence, long enough to
@@ -98,13 +103,6 @@ EpisodeResult runLocalEpisode() {
     return {};
   return runEpisode(**Env);
 }
-
-/// Echoes the request bytes back as the reply (draw-stability probes).
-struct EchoTransport : service::Transport {
-  StatusOr<std::string> roundTrip(const std::string &Bytes, int) override {
-    return Bytes;
-  }
-};
 
 net::NetAddress uniqueListenAddress(const char *Tag) {
   static std::atomic<int> Counter{0};
@@ -211,32 +209,9 @@ TEST(ChaosDrawStability, UnrelatedRuleTrafficDoesNotShiftSchedules) {
   EXPECT_EQ(Reg.fires("unit.off"), 0u);
 }
 
-TEST(ChaosDrawStability, FlakyTransportStreamIsUnaffectedByRegistryPlans) {
-  RegistryReset RR;
-  service::TransportFaults TF;
-  TF.DropProbability = 0.3;
-  TF.GarbageProbability = 0.2;
-  TF.Seed = 4242;
-  auto Pattern = [&TF] {
-    service::FlakyTransport T(std::make_shared<EchoTransport>(), TF);
-    std::vector<int> Out;
-    for (int I = 0; I < 100; ++I) {
-      auto R = T.roundTrip("abcdefgh", 100);
-      Out.push_back(!R.isOk() ? 0 : (*R == "abcdefgh" ? 1 : 2));
-    }
-    return Out;
-  };
-  std::vector<int> Clean = Pattern();
-  FaultPlanSpec Plan;
-  Plan.Rules.push_back({.Point = "unit.q", .Probability = 0.5});
-  FaultRegistry::global().install(Plan);
-  std::vector<int> Armed = Pattern();
-  EXPECT_EQ(Clean, Armed);
-}
+// -- Client transport fault points --------------------------------------------
 
-// -- ChaosTransport -----------------------------------------------------------
-
-TEST(ChaosTransportTest, InjectsTypedFaultsThenPassesThrough) {
+TEST(ClientFaultPoints, InjectsTypedFaultsThenPassesThrough) {
   RegistryReset RR;
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "transport.round_trip",
@@ -245,27 +220,41 @@ TEST(ChaosTransportTest, InjectsTypedFaultsThenPassesThrough) {
                         .Code = StatusCode::Unavailable,
                         .Message = "injected reset"});
   FaultRegistry::global().install(Plan);
-  ChaosTransport T(std::make_shared<EchoTransport>());
-  auto R1 = T.roundTrip("payload", 100);
+  auto Service = std::make_shared<service::CompilerService>();
+  service::ClientOptions CO;
+  CO.MaxRetries = 0;
+  service::ServiceClient Client(Service, CO);
+  Status R1 = Client.heartbeat();
   ASSERT_FALSE(R1.isOk());
-  EXPECT_EQ(R1.status().code(), StatusCode::Unavailable);
-  auto R2 = T.roundTrip("payload", 100);
-  ASSERT_TRUE(R2.isOk());
-  EXPECT_EQ(*R2, "payload");
+  EXPECT_EQ(R1.code(), StatusCode::Unavailable);
+  // The request never reached the service; the next one passes through.
+  EXPECT_EQ(Service->opsHandled(), 0u);
+  Status R2 = Client.heartbeat();
+  ASSERT_TRUE(R2.isOk()) << R2.toString();
+  EXPECT_EQ(Service->opsHandled(), 1u);
 }
 
-TEST(ChaosTransportTest, CorruptRulesGarbleTheReplyBytes) {
+TEST(ClientFaultPoints, CorruptRulesTruncateTheReplyBytes) {
   RegistryReset RR;
+  auto Service = std::make_shared<service::CompilerService>();
+  service::ClientOptions CO;
+  CO.MaxRetries = 0;
+  service::ServiceClient Client(Service, CO);
+  ASSERT_TRUE(Client.heartbeat().isOk());
+  const uint64_t ReplyBytes = Client.wireBytesReceived();
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "transport.reply",
                         .Kind = FaultKind::Corrupt,
                         .MaxFires = 1});
   FaultRegistry::global().install(Plan);
-  ChaosTransport T(std::make_shared<EchoTransport>());
-  auto R = T.roundTrip("payload", 100);
-  ASSERT_TRUE(R.isOk());
-  EXPECT_NE(*R, "payload");
-  EXPECT_EQ(R->size(), std::string("payload").size());
+  // Half the reply arrives, and the client reports it as a garbled reply
+  // instead of decoding it.
+  Status R = Client.heartbeat();
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.code(), StatusCode::Unavailable);
+  EXPECT_NE(R.message().find("garbled reply"), std::string::npos)
+      << R.toString();
+  EXPECT_EQ(Client.wireBytesReceived() - ReplyBytes, ReplyBytes / 2);
 }
 
 // -- The soak -----------------------------------------------------------------
@@ -314,7 +303,7 @@ TEST(ChaosSoak, SeededServicePlansAreByteEqualToFaultFreeReference) {
   }
 }
 
-TEST(ChaosSoak, TransportFaultsAreTransparentOverChaosChannel) {
+TEST(ChaosSoak, ChannelFaultsAreTransparentToTheClient) {
   RegistryReset RR;
   FaultRegistry::global().clear();
   EpisodeResult Ref = runLocalEpisode();
@@ -324,18 +313,17 @@ TEST(ChaosSoak, TransportFaultsAreTransparentOverChaosChannel) {
   MO.Benchmark = Crc32;
   MO.ObservationSpace = "Autophase";
   MO.RewardSpace = "IrInstructionCount";
-  auto Opts = core::resolveMakeOptions("llvm-v0", MO);
-  ASSERT_TRUE(Opts.isOk());
-  auto Service = std::make_shared<service::CompilerService>();
-  auto Chan = std::make_shared<ChaosTransport>(
-      std::make_shared<service::QueueTransport>(
-          [Service](const std::string &B) { return Service->handle(B); }));
+  // More retries per call than the plan can fire in total (12), so no
+  // call runs out of retries and every fault must cost a client retry.
+  MO.Client.MaxRetries = 12;
+  auto Env = core::make("llvm-v0", MO);
+  ASSERT_TRUE(Env.isOk()) << Env.status().toString();
 
   FaultPlanSpec Plan;
   Plan.Seed = 99;
-  // Request-direction resets retry cleanly; reply-direction errors after
-  // execution exercise the dedup window (the retried RequestId must get
-  // the cached outcome, never a re-execution).
+  // Request-direction resets retry cleanly; reply-direction errors and
+  // corrupt replies after execution exercise the dedup window (the
+  // retried RequestId must get the cached outcome, never a re-execution).
   Plan.Rules.push_back({.Point = "transport.round_trip",
                         .Kind = FaultKind::Error,
                         .Probability = 0.15,
@@ -344,13 +332,18 @@ TEST(ChaosSoak, TransportFaultsAreTransparentOverChaosChannel) {
                         .Kind = FaultKind::Error,
                         .Probability = 0.10,
                         .MaxFires = 3});
+  Plan.Rules.push_back({.Point = "transport.reply",
+                        .Kind = FaultKind::Corrupt,
+                        .Probability = 0.15,
+                        .MaxFires = 4});
+  uint64_t CorruptBefore = corruptFaultsTotal().value();
   FaultRegistry::global().install(Plan);
-  auto Env = core::CompilerEnv::connect(*Opts, Chan);
-  ASSERT_TRUE(Env.isOk()) << Env.status().toString();
   EpisodeResult Chaos = runEpisode(**Env);
   uint64_t Fires = FaultRegistry::global().totalFires();
   FaultRegistry::global().clear();
   EXPECT_GT(Fires, 0u);
+  EXPECT_GT(corruptFaultsTotal().value(), CorruptBefore);
+  EXPECT_GE((*Env)->client().retryCount(), Fires);
   EXPECT_EQ(Chaos.StateLine, Ref.StateLine);
   EXPECT_EQ(Chaos.IrHash, Ref.IrHash);
 }
@@ -384,6 +377,13 @@ TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
                         .Kind = FaultKind::Error,
                         .Probability = 0.10,
                         .MaxFires = 3});
+  // Truncated shard replies: the gateway must turn each into a link fault
+  // the env recovers from.
+  Plan.Rules.push_back({.Point = "gateway.backend_call",
+                        .Kind = FaultKind::Corrupt,
+                        .Probability = 0.15,
+                        .MaxFires = 3});
+  uint64_t CorruptBefore = corruptFaultsTotal().value();
   FaultRegistry::global().install(Plan);
   // Interleave the two tenants' episodes so faults land across both
   // sessions' traffic, not one tenant's warm-up.
@@ -405,10 +405,44 @@ TEST(ChaosSoak, MultiTenantGatewayEpisodesSurviveLinkAndServiceFaults) {
   uint64_t Fires = FaultRegistry::global().totalFires();
   FaultRegistry::global().clear();
   EXPECT_GT(Fires, 0u);
+  EXPECT_GT(corruptFaultsTotal().value(), CorruptBefore);
   EXPECT_EQ(OutA.StateLine, Ref.StateLine);
   EXPECT_EQ(OutA.IrHash, Ref.IrHash);
   EXPECT_EQ(OutB.StateLine, Ref.StateLine);
   EXPECT_EQ(OutB.IrHash, Ref.IrHash);
+}
+
+TEST(ChaosSoak, EveryCorruptGatewayReplyIsNoticed) {
+  // The shard link carries no checksum, so a corrupt backend reply must
+  // never pass for a good one: wherever it lands in the episode, the env
+  // retries or recovers, and the episode stays byte-equal.
+  RegistryReset RR;
+  FaultRegistry::global().clear();
+  EpisodeResult Ref = runLocalEpisode();
+  ASSERT_FALSE(Ref.StateLine.empty());
+
+  gateway::GatewayOptions GO;
+  GO.NumShards = 1;
+  auto Gw = serveGateway(std::move(GO), "corrupt");
+  ASSERT_TRUE(Gw);
+  for (uint64_t K = 0; K < 8; ++K) {
+    auto Env = connectEnv(*Gw);
+    ASSERT_TRUE(Env.isOk()) << Env.status().toString();
+    FaultPlanSpec Plan;
+    Plan.Rules.push_back({.Point = "gateway.backend_call",
+                          .Kind = FaultKind::Corrupt,
+                          .AfterHits = K,
+                          .MaxFires = 1});
+    FaultRegistry::global().install(Plan);
+    EpisodeResult Out = runEpisode(**Env);
+    uint64_t Fires = FaultRegistry::global().totalFires();
+    FaultRegistry::global().clear();
+    EXPECT_EQ(Fires, 1u) << "backend call " << K;
+    EXPECT_GE((*Env)->client().retryCount() + (*Env)->serviceRecoveries(), 1u)
+        << "corrupt reply to backend call " << K << " went unnoticed";
+    EXPECT_EQ(Out.StateLine, Ref.StateLine) << "backend call " << K;
+    EXPECT_EQ(Out.IrHash, Ref.IrHash) << "backend call " << K;
+  }
 }
 
 // -- Deadline propagation -----------------------------------------------------

@@ -13,6 +13,7 @@
 // CI jobs.
 
 #include "core/Registry.h"
+#include "fault/FaultRegistry.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Snapshot.h"
@@ -211,7 +212,12 @@ TEST(Recovery, CrashRecoveryRestoresSnapshotWithZeroReplayedActions) {
   Crashy.Benchmark = "benchmark://cbench-v1/crc32";
   Crashy.ObservationSpace = "none";
   Crashy.RewardSpace = "IrInstructionCount";
-  Crashy.Faults.CrashAfterOps = 7;
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .AfterHits = 7,
+                        .MaxFires = 1});
+  fault::ScopedFaultPlan Armed(Plan);
   auto Env = core::make("llvm-v0", Crashy);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());

@@ -12,6 +12,7 @@
 #include "core/Registry.h"
 #include "datasets/DatasetRegistry.h"
 #include "envs/llvm/LlvmSession.h"
+#include "fault/FaultRegistry.h"
 #include "gateway/Gateway.h"
 #include "net/SocketTransport.h"
 #include "service/Serialization.h"
@@ -435,6 +436,8 @@ TEST(Gateway, TransparentlyRestoresSessionAfterShardRestart) {
 }
 
 TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
+  // The control episode runs before the process-wide plan is armed; its
+  // per-step observations are the reference.
   core::MakeOptions MO;
   MO.Benchmark = Crc32;
   MO.ObservationSpace = "Autophase";
@@ -442,12 +445,23 @@ TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
   auto Control = core::make("llvm-v0", MO);
   ASSERT_TRUE(Control.isOk());
   ASSERT_TRUE((*Control)->reset().isOk());
+  std::vector<std::vector<int64_t>> ControlObs;
+  for (int Step = 0; Step < 10; ++Step) {
+    auto C = (*Control)->step(Step % 4);
+    ASSERT_TRUE(C.isOk());
+    ControlObs.push_back(C->Obs.Ints);
+  }
 
   GatewayOptions Opts;
   Opts.NumShards = 1;
-  Opts.ShardFaults.CrashAfterOps = 6;
   Opts.MonitorIntervalMs = 2; // Restart crashed shards promptly.
   auto Gw = serveGateway(std::move(Opts), "crashy");
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .AfterHits = 6,
+                        .MaxFires = 1});
+  fault::ScopedFaultPlan Armed(Plan);
   auto Env = connectEnv(*Gw, "");
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -455,9 +469,7 @@ TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
     auto R = (*Env)->step(Step % 4);
     ASSERT_TRUE(R.isOk()) << "step " << Step << ": "
                           << R.status().toString();
-    auto C = (*Control)->step(Step % 4);
-    ASSERT_TRUE(C.isOk());
-    EXPECT_EQ(C->Obs.Ints, R->Obs.Ints) << "step " << Step;
+    EXPECT_EQ(ControlObs[Step], R->Obs.Ints) << "step " << Step;
   }
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
   // The episode crossed at least one crash, healed by the gateway's

@@ -11,6 +11,7 @@
 
 #include "datasets/DatasetRegistry.h"
 #include "envs/llvm/LlvmSession.h"
+#include "fault/FaultRegistry.h"
 #include "net/Frame.h"
 #include "net/NetServer.h"
 #include "net/Socket.h"
@@ -443,16 +444,17 @@ private:
 
 TEST(ClientRetry, DisconnectFaultsAreRetriedAndCounted) {
   auto Service = std::make_shared<CompilerService>();
-  auto Base = std::make_shared<QueueTransport>(
-      [Service](const std::string &B) { return Service->handle(B); });
-  TransportFaults Faults;
-  Faults.DisconnectProbability = 1.0; // Every call: connection reset.
-  auto Flaky = std::make_shared<FlakyTransport>(Base, Faults);
+  // Every call: connection reset.
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "transport.round_trip",
+                        .Kind = fault::FaultKind::Error,
+                        .Code = StatusCode::Unavailable});
+  fault::ScopedFaultPlan Armed(Plan);
   ClientOptions Opts;
   Opts.MaxRetries = 3;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 4;
-  ServiceClient Client(Service, Flaky, Opts);
+  ServiceClient Client(Service, Opts);
   Status S = Client.heartbeat();
   ASSERT_FALSE(S.isOk());
   EXPECT_EQ(S.code(), StatusCode::Unavailable);
@@ -463,17 +465,18 @@ TEST(ClientRetry, DisconnectFaultsAreRetriedAndCounted) {
 
 TEST(ClientRetry, PartialWriteFaultIsRetriedAsGarbled) {
   auto Service = std::make_shared<CompilerService>();
-  auto Base = std::make_shared<QueueTransport>(
-      [Service](const std::string &B) { return Service->handle(B); });
-  TransportFaults Faults;
-  Faults.PartialWriteProbability = 0.5;
-  Faults.Seed = 0x7E57;
-  auto Flaky = std::make_shared<FlakyTransport>(Base, Faults);
+  // Half the replies are cut off mid-stream (a partial write on the peer).
+  fault::FaultPlanSpec Plan;
+  Plan.Seed = 0x7E57;
+  Plan.Rules.push_back({.Point = "transport.reply",
+                        .Kind = fault::FaultKind::Corrupt,
+                        .Probability = 0.5});
+  fault::ScopedFaultPlan Armed(Plan);
   ClientOptions Opts;
   Opts.MaxRetries = 8;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 2;
-  ServiceClient Client(Service, Flaky, Opts);
+  ServiceClient Client(Service, Opts);
   // With p=0.5 and 9 attempts per call, 20 heartbeats all succeed with
   // overwhelming probability — and some retries must have happened.
   for (int I = 0; I < 20; ++I)

@@ -9,6 +9,7 @@
 // including equality with full recomputation, fork, and crash recovery.
 
 #include "core/Registry.h"
+#include "fault/FaultRegistry.h"
 #include "runtime/ObservationCache.h"
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
@@ -303,12 +304,26 @@ TEST(ObservationDeltaE2E, DuplicateSpaceNamesInOneRequest) {
 }
 
 TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
-  core::MakeOptions Opts = plainLlvm("benchmark://cbench-v1/crc32");
-  Opts.Faults.CrashAfterOps = 6;
-  auto Env = core::make("llvm-v0", Opts);
+  const std::vector<std::string> Spaces = {"Inst2vec", "Autophase"};
+  // The fault-free reference runs before the process-wide plan is armed.
+  core::MakeOptions Plain = plainLlvm("benchmark://cbench-v1/crc32");
+  auto Fresh = core::make("llvm-v0", Plain);
+  ASSERT_TRUE(Fresh.isOk());
+  ASSERT_TRUE((*Fresh)->reset().isOk());
+  for (int I = 0; I < 4; ++I)
+    ASSERT_TRUE((*Fresh)->step({0}).isOk());
+  auto Reference = (*Fresh)->rawObservations(Spaces);
+  ASSERT_TRUE(Reference.isOk());
+
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .AfterHits = 6,
+                        .MaxFires = 1});
+  fault::ScopedFaultPlan Armed(Plan);
+  auto Env = core::make("llvm-v0", Plain);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
-  const std::vector<std::string> Spaces = {"Inst2vec", "Autophase"};
   ASSERT_TRUE((*Env)->rawObservations(Spaces).isOk());
   // Drive past the crash point; recovery replays and the content-addressed
   // bases stay coherent.
@@ -318,14 +333,6 @@ TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
   auto Obs = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Obs.isOk());
 
-  core::MakeOptions Plain = plainLlvm("benchmark://cbench-v1/crc32");
-  auto Fresh = core::make("llvm-v0", Plain);
-  ASSERT_TRUE(Fresh.isOk());
-  ASSERT_TRUE((*Fresh)->reset().isOk());
-  for (int I = 0; I < 4; ++I)
-    ASSERT_TRUE((*Fresh)->step({0}).isOk());
-  auto Reference = (*Fresh)->rawObservations(Spaces);
-  ASSERT_TRUE(Reference.isOk());
   for (size_t I = 0; I < Spaces.size(); ++I) {
     EXPECT_EQ((*Obs)[I].Ints, (*Reference)[I].Ints) << Spaces[I];
     EXPECT_EQ((*Obs)[I].Doubles, (*Reference)[I].Doubles) << Spaces[I];

@@ -621,8 +621,8 @@ TEST(Passes, GvnSinkIsNondeterministicAcrossClones) {
       datasets::styleForDataset("benchmark://csmith-v0");
   auto M = datasets::generateProgram(5, Style, "m");
   auto Clone = M->clone();
-  Pass->runOnModule(*M);
-  Pass->runOnModule(*Clone);
+  ASSERT_TRUE(runPass(*M, "gvn-sink").isOk());
+  ASSERT_TRUE(runPass(*Clone, "gvn-sink").isOk());
   EXPECT_TRUE(verifyModule(*M).isOk());
   EXPECT_TRUE(verifyModule(*Clone).isOk());
 }

@@ -14,6 +14,7 @@
 
 #include "core/Registry.h"
 #include "envs/llvm/LlvmSession.h"
+#include "fault/FaultRegistry.h"
 #include "rl/Rollout.h"
 
 #include <gtest/gtest.h>
@@ -25,6 +26,18 @@ using namespace compiler_gym;
 using namespace compiler_gym::runtime;
 
 namespace {
+
+/// One crash at service.handle per entry: the I-th rule lets AfterHits[I]
+/// of its hits pass, then crashes the service on the next one.
+fault::FaultPlanSpec crashAfter(std::initializer_list<uint64_t> AfterHits) {
+  fault::FaultPlanSpec Plan;
+  for (uint64_t N : AfterHits)
+    Plan.Rules.push_back({.Point = "service.handle",
+                          .Kind = fault::FaultKind::Crash,
+                          .AfterHits = N,
+                          .MaxFires = 1});
+  return Plan;
+}
 
 // -- ObservationCache ----------------------------------------------------------
 
@@ -129,8 +142,8 @@ TEST(ServiceBroker, SweepRestartsCrashedShards) {
   BrokerOptions Opts;
   Opts.NumShards = 2;
   Opts.MonitorIntervalMs = 0; // Manual sweeps.
-  Opts.Faults.CrashAfterOps = 2;
   ServiceBroker Broker(Opts);
+  fault::ScopedFaultPlan Armed(crashAfter({2}));
   auto Client = Broker.makeClient(0);
   EXPECT_TRUE(Client->heartbeat().isOk());
   EXPECT_TRUE(Client->heartbeat().isOk());
@@ -150,8 +163,8 @@ TEST(ServiceBroker, MonitorThreadRestartsCrashedShardUnprompted) {
   BrokerOptions Opts;
   Opts.NumShards = 1;
   Opts.MonitorIntervalMs = 5;
-  Opts.Faults.CrashAfterOps = 1;
   ServiceBroker Broker(Opts);
+  fault::ScopedFaultPlan Armed(crashAfter({1}));
   auto Client = Broker.makeClient(0);
   EXPECT_TRUE(Client->heartbeat().isOk());
   EXPECT_FALSE(Client->heartbeat().isOk()); // Crashes the shard.
@@ -175,11 +188,28 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
   auto EnvOpts = core::resolveMakeOptions("llvm-v0", MO);
   ASSERT_TRUE(EnvOpts.isOk());
 
+  // Fault-free references on private services, run to completion before
+  // the process-wide plan is armed.
+  auto RefA = core::make("llvm-v0", MO);
+  auto RefB = core::make("llvm-v0", MO);
+  ASSERT_TRUE(RefA.isOk());
+  ASSERT_TRUE(RefB.isOk());
+  ASSERT_TRUE((*RefA)->reset().isOk());
+  ASSERT_TRUE((*RefB)->reset().isOk());
+  for (int Step = 0; Step < 8; ++Step) {
+    ASSERT_TRUE((*RefA)->step(Step % 5).isOk());
+    ASSERT_TRUE((*RefB)->step((Step + 2) % 5).isOk());
+  }
+  auto HashRefA = (*RefA)->observation()["IrHash"];
+  auto HashRefB = (*RefB)->observation()["IrHash"];
+  ASSERT_TRUE(HashRefA.isOk());
+  ASSERT_TRUE(HashRefB.isOk());
+
   BrokerOptions BO;
   BO.NumShards = 1;
   BO.MonitorIntervalMs = 0; // Recovery driven purely by the envs.
-  BO.Faults.CrashAfterOps = 5;
   ServiceBroker Broker(BO);
+  fault::ScopedFaultPlan Armed(crashAfter({5, 12, 19}));
   auto A = core::CompilerEnv::attach(*EnvOpts, Broker.shardService(0),
                                      Broker.shardTransport(0));
   auto B = core::CompilerEnv::attach(*EnvOpts, Broker.shardService(0),
@@ -198,26 +228,11 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
   }
   EXPECT_GE((*A)->serviceRecoveries() + (*B)->serviceRecoveries(), 1u);
 
-  // Fault-free references on private services.
-  auto RefA = core::make("llvm-v0", MO);
-  auto RefB = core::make("llvm-v0", MO);
-  ASSERT_TRUE(RefA.isOk());
-  ASSERT_TRUE(RefB.isOk());
-  ASSERT_TRUE((*RefA)->reset().isOk());
-  ASSERT_TRUE((*RefB)->reset().isOk());
-  for (int Step = 0; Step < 8; ++Step) {
-    ASSERT_TRUE((*RefA)->step(Step % 5).isOk());
-    ASSERT_TRUE((*RefB)->step((Step + 2) % 5).isOk());
-  }
   auto HashA = (*A)->observation()["IrHash"];
-  auto HashRefA = (*RefA)->observation()["IrHash"];
   ASSERT_TRUE(HashA.isOk());
-  ASSERT_TRUE(HashRefA.isOk());
   EXPECT_EQ(HashA->raw().Str, HashRefA->raw().Str);
   auto HashB = (*B)->observation()["IrHash"];
-  auto HashRefB = (*RefB)->observation()["IrHash"];
   ASSERT_TRUE(HashB.isOk());
-  ASSERT_TRUE(HashRefB.isOk());
   EXPECT_EQ(HashB->raw().Str, HashRefB->raw().Str);
 }
 
@@ -325,9 +340,9 @@ TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
   Opts.NumWorkers = 4;
   Opts.Broker.NumShards = 2; // Two envs share each crashing shard.
   Opts.Broker.MonitorIntervalMs = 5;
-  Opts.Broker.Faults.CrashAfterOps = 9;
   auto Pool = EnvPool::create(Opts);
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
+  fault::ScopedFaultPlan Armed(crashAfter({9, 30, 60}));
 
   std::vector<double> Rewards(Episodes, -1.0);
   Status S = (*Pool)->collect(

@@ -10,6 +10,7 @@
 #include "core/Registry.h"
 #include "datasets/DatasetRegistry.h"
 #include "envs/llvm/LlvmSession.h"
+#include "fault/FaultRegistry.h"
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
@@ -225,9 +226,13 @@ TEST(Service, HeartbeatWorks) {
 
 TEST(FaultTolerance, CrashedServiceReturnsAborted) {
   envs::registerLlvmEnvironment();
-  FaultPlan Plan;
-  Plan.CrashAfterOps = 2;
-  auto Service = std::make_shared<CompilerService>(Plan);
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .AfterHits = 2,
+                        .MaxFires = 1});
+  fault::ScopedFaultPlan Armed(Plan);
+  auto Service = std::make_shared<CompilerService>();
   ServiceClient Client(Service);
   EXPECT_TRUE(Client.heartbeat().isOk());
   EXPECT_TRUE(Client.heartbeat().isOk());
@@ -244,33 +249,38 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
   // The paper's §IV-B story end-to-end: the service dies mid-episode, the
   // env restarts it and replays its action history; the user never sees an
   // error, and the state is bit-identical to an uninterrupted episode.
-  core::MakeOptions Crashy;
-  Crashy.Benchmark = "benchmark://cbench-v1/crc32";
-  Crashy.ObservationSpace = "none";
-  Crashy.RewardSpace = "none";
-  Crashy.Faults.CrashAfterOps = 7;
-  auto EnvA = core::make("llvm-v0", Crashy);
-  ASSERT_TRUE(EnvA.isOk());
-
-  core::MakeOptions Stable = Crashy;
-  Stable.Faults = FaultPlan{};
-  auto EnvB = core::make("llvm-v0", Stable);
+  // The fault plan is process-wide, so the fault-free reference (env B)
+  // runs to completion before the plan is armed.
+  core::MakeOptions Opts;
+  Opts.Benchmark = "benchmark://cbench-v1/crc32";
+  Opts.ObservationSpace = "none";
+  Opts.RewardSpace = "none";
+  auto EnvB = core::make("llvm-v0", Opts);
   ASSERT_TRUE(EnvB.isOk());
-
-  ASSERT_TRUE((*EnvA)->reset().isOk());
   ASSERT_TRUE((*EnvB)->reset().isOk());
+  for (int Step = 0; Step < 10; ++Step)
+    ASSERT_TRUE((*EnvB)->step(Step % 5).isOk());
+  EXPECT_EQ((*EnvB)->serviceRecoveries(), 0u);
+  auto HashB = (*EnvB)->observation()["IrHash"];
+  ASSERT_TRUE(HashB.isOk());
+
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .AfterHits = 7,
+                        .MaxFires = 1});
+  fault::ScopedFaultPlan Armed(Plan);
+  auto EnvA = core::make("llvm-v0", Opts);
+  ASSERT_TRUE(EnvA.isOk());
+  ASSERT_TRUE((*EnvA)->reset().isOk());
   for (int Step = 0; Step < 10; ++Step) {
     auto RA = (*EnvA)->step(Step % 5);
     ASSERT_TRUE(RA.isOk()) << "step " << Step << ": "
                            << RA.status().toString();
-    ASSERT_TRUE((*EnvB)->step(Step % 5).isOk());
   }
   EXPECT_GE((*EnvA)->serviceRecoveries(), 1u);
-  EXPECT_EQ((*EnvB)->serviceRecoveries(), 0u);
   auto HashA = (*EnvA)->observation()["IrHash"];
-  auto HashB = (*EnvB)->observation()["IrHash"];
   ASSERT_TRUE(HashA.isOk());
-  ASSERT_TRUE(HashB.isOk());
   EXPECT_EQ(HashA->raw().Str, HashB->raw().Str);
 }
 
@@ -279,14 +289,22 @@ TEST(FaultTolerance, HangsAreRetriedAsTimeouts) {
   Opts.Benchmark = "benchmark://cbench-v1/crc32";
   Opts.ObservationSpace = "none";
   Opts.RewardSpace = "none";
-  Opts.Faults.HangOnOp = 3; // Third op sleeps past the client deadline.
-  Opts.Faults.HangMs = 100;
   Opts.Client.TimeoutMs = 40;
   Opts.Client.MaxRetries = 6;
   // Legacy per-attempt timeouts: with deadline propagation the 40ms
   // budget would be spent after one attempt (client retries would be
   // refused and recovery would move up to the env layer instead).
   Opts.Client.PropagateDeadline = false;
+  // The third op sleeps past the client deadline without polling its
+  // cancel token (a hang, not a slow pass).
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Delay,
+                        .AfterHits = 2,
+                        .MaxFires = 1,
+                        .DelayMs = 100,
+                        .CancelAware = false});
+  fault::ScopedFaultPlan Armed(Plan);
   auto Env = core::make("llvm-v0", Opts);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -342,15 +360,23 @@ TEST(FaultTolerance, RetryBudgetShrinksAcrossAttemptsAndNeverWraps) {
   }
 }
 
-TEST(FaultTolerance, FlakyTransportIsSurvivable) {
+TEST(FaultTolerance, FlakyChannelIsSurvivable) {
   core::MakeOptions Opts;
   Opts.Benchmark = "benchmark://cbench-v1/crc32";
   Opts.ObservationSpace = "none";
   Opts.RewardSpace = "IrInstructionCount";
-  Opts.UseFlakyTransport = true;
-  Opts.TransportFaultPlan.DropProbability = 0.10;
-  Opts.TransportFaultPlan.GarbageProbability = 0.10;
-  Opts.TransportFaultPlan.Seed = 99;
+  // 10% of requests are dropped before delivery and 10% of replies
+  // arrive garbled.
+  fault::FaultPlanSpec Plan;
+  Plan.Seed = 99;
+  Plan.Rules.push_back({.Point = "transport.round_trip",
+                        .Kind = fault::FaultKind::Error,
+                        .Probability = 0.10,
+                        .Code = StatusCode::DeadlineExceeded});
+  Plan.Rules.push_back({.Point = "transport.reply",
+                        .Kind = fault::FaultKind::Corrupt,
+                        .Probability = 0.10});
+  fault::ScopedFaultPlan Armed(Plan);
   Opts.Client.TimeoutMs = 2000;
   Opts.Client.MaxRetries = 8;
   auto Env = core::make("llvm-v0", Opts);
