@@ -118,9 +118,11 @@ int main() {
   for (const char *Space : {"InstCount", "Autophase"})
     latencyRow(Space, Dirty1[Space]);
 
-  // -- Part 2: session-level memoized observations --------------------------
-  // Through the full env stack: the first observe after a step computes;
-  // repeats on the unchanged state are memo hits.
+  // -- Part 2: repeated observations through the service --------------------
+  // Through the full env stack: the first observe after a step computes
+  // (or hits the service's observation cache on a revisited state);
+  // repeats on the unchanged state advertise it as their delta base and
+  // are answered with an empty "unchanged" delta, computing nothing.
   std::map<std::string, std::vector<double>> EnvFirst, EnvRepeat;
   {
     core::MakeOptions Opts;
@@ -136,7 +138,7 @@ int main() {
         if (!(*Env)->step(static_cast<int>(Gen.bounded(NumActions))).isOk())
           break;
         // rawObservations keeps every request on the RPC path: repeats
-        // measure the backend session memo, not the frontend view cache.
+        // measure the service's answer, not the frontend view cache.
         for (const char *Space : {"InstCount", "Autophase", "Ir"}) {
           Stopwatch W;
           if (!(*Env)->rawObservations({Space}).isOk())
@@ -232,7 +234,7 @@ int main() {
   Checks.check(Dirty1AP < ColdAP,
                "single-dirty-function Autophase beats whole-module rescan");
   Checks.check(mean(EnvRepeat["InstCount"]) < mean(EnvFirst["InstCount"]),
-               "repeated env observation is memoized");
+               "repeated env observation skips recomputation");
   Checks.check(mean(StatefulStep) < mean(OneShotStep) * 1.05,
                "stateful step path does not lose to one-shot runPass");
   return Checks.verdict();

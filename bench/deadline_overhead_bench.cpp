@@ -106,7 +106,8 @@ int main() {
   ShapeChecks Checks;
   bool Passed = false;
   for (int Attempt = 1; Attempt <= 3 && !Passed; ++Attempt) {
-    // Warmup both sessions: page caches, benchmark parse cache, memos.
+    // Warmup both sessions: page caches, benchmark parse cache,
+    // observation caches.
     if (!EnvOn->reset().isOk() || stepRoundMeanMs(*EnvOn, StepsPerRound) < 0 ||
         !EnvOff->reset().isOk() || stepRoundMeanMs(*EnvOff, StepsPerRound) < 0)
       return 1;

@@ -111,7 +111,7 @@ int main() {
   ShapeChecks Checks;
   bool Passed = false;
   for (int Attempt = 1; Attempt <= 3 && !Passed; ++Attempt) {
-    // Warmup: page caches, benchmark parse cache, session memos.
+    // Warmup: page caches, benchmark parse cache, observation caches.
     if (!(*Env)->reset().isOk() || stepRoundMeanMs(**Env, StepsPerRound) < 0)
       return 1;
 

@@ -339,10 +339,7 @@ Status CompilerEnv::settleWireObservations(StepReply &Reply) {
 StatusOr<StepReply> CompilerEnv::callStepWithRecovery(StepRequest Req) {
   Req.SessionId = SessionId;
   // Advertise the retained full values' keys so the service may answer
-  // with deltas. The vector is sent even when every key is 0 (first
-  // fetch): a non-empty key vector is how a client declares it speaks
-  // the handshake, which tells the service to retain reply values as
-  // future delta bases. Costs 8 bytes per space.
+  // with deltas against its cached value at each key (0 = no base).
   Req.ObservationBaseKeys.clear();
   for (const std::string &Name : Req.ObservationSpaces) {
     auto It = WireBases.find(Name);
@@ -353,8 +350,9 @@ StatusOr<StepReply> CompilerEnv::callStepWithRecovery(StepRequest Req) {
   // recover and retry. On a shared shard a retry can race another env's
   // recovery restarting the service again, so allow a few rounds.
   // (Retained base keys stay valid: they are content-addressed and the
-  // replay reconstructs the same state; the restarted service simply
-  // answers the retry with full payloads.)
+  // replay reconstructs the same state; the restarted service answers the
+  // retry with deltas while its observation cache still holds the bases,
+  // and with full payloads otherwise.)
   Status LastError = Status::ok();
   bool PhantomActions = false;
   for (int Round = 0; Round < 5; ++Round) {
@@ -374,8 +372,15 @@ StatusOr<StepReply> CompilerEnv::callStepWithRecovery(StepRequest Req) {
     PhantomActions = false;
     StatusOr<StepReply> Reply = Client->step(Req);
     if (!Reply.isOk()) {
-      if (!isRecoverableFailure(Reply.status()))
+      if (!isRecoverableFailure(Reply.status())) {
+        // The service may have applied some of the actions before the
+        // request failed (a later action, or an observation, failed).
+        // The caller commits none of them: resynchronize the live session
+        // to the committed history, as for an unsettleable reply below.
+        if (!Req.Actions.empty())
+          CG_RETURN_IF_ERROR(recover());
         return Reply.status();
+      }
       LastError = Reply.status();
       continue;
     }

@@ -196,11 +196,13 @@ private:
 
   /// Issues \p Req with recovery-and-retry: a recoverable failure
   /// (crash/hang/session loss) restarts the service, replays the episode,
-  /// refreshes the session id and retries, for a few rounds. The single
-  /// copy of the recovery-retry invariant for step-shaped RPCs. Also the
-  /// single copy of the wire-delta handshake: retained base keys are
-  /// advertised on the request, and delta replies are reconstructed to
-  /// full observations before the reply is returned.
+  /// refreshes the session id and retries, for a few rounds. A request
+  /// with actions that fails for good first resynchronizes the session to
+  /// the committed history, since the backend may have applied some of
+  /// them. The single copy of the recovery-retry invariant for step-shaped
+  /// RPCs. Also the single copy of the wire-delta handshake: retained base
+  /// keys are advertised on the request, and delta replies are
+  /// reconstructed to full observations before the reply is returned.
   StatusOr<service::StepReply> callStepWithRecovery(service::StepRequest Req);
 
   /// Reconstructs delta-encoded reply observations against WireBases and

@@ -99,7 +99,7 @@ private:
   uint64_t Hits = 0, Misses = 0;
 };
 
-/// Observation-space ids: dense indices into the dispatch and memo tables.
+/// Observation-space ids: dense indices into the dispatch table.
 enum LlvmObs : int {
   ObsIr = 0,
   ObsIrHash,
@@ -116,10 +116,9 @@ enum LlvmObs : int {
 };
 
 /// Single source of truth for the observation spaces: the advertised list
-/// (typed descriptors with shape/range where statically known), the
-/// name->handler dispatch table and the memoization policy all derive
-/// from this table, so adding a space is exactly one entry here plus its
-/// case in computeObservationUncached.
+/// (typed descriptors with shape/range where statically known) and the
+/// name->handler dispatch table both derive from this table, so adding a
+/// space is exactly one entry here plus its case in computeObservation.
 struct SpaceDesc {
   const char *Name;
   LlvmObs Id;
@@ -213,9 +212,7 @@ std::vector<ObservationSpaceInfo> LlvmSession::getObservationSpaces() {
 
 void LlvmSession::rebindModule() {
   PM = Mod ? std::make_unique<passes::PassManager>(*Mod) : nullptr;
-  ModEpoch = 0;
   CachedStateKey.reset();
-  ObsMemo.clear();
 }
 
 Status LlvmSession::init(const ActionSpace &Space,
@@ -258,10 +255,8 @@ Status LlvmSession::applyAction(const Action &A, bool &EndOfEpisode,
       return cancelRollback(R.status().message());
     return R.status();
   }
-  if (*R) {
-    ++ModEpoch;
+  if (*R)
     CachedStateKey.reset();
-  }
   return Status::ok();
 }
 
@@ -311,39 +306,8 @@ Status LlvmSession::computeObservation(const ObservationSpaceInfo &Space,
   auto It = Index.find(Space.Name);
   if (It == Index.end())
     return notFound("unknown observation space '" + Space.Name + "'");
-  const SpaceDesc &Desc = SpaceTable[It->second];
   Out.Type = Space.Type;
-
-  // Session-level memo: a deterministic observation of an unchanged module
-  // is a lookup, not a recompute. (The runtime's shared ObservationCache
-  // deduplicates *across* sessions via stateKey(); this handles the
-  // overwhelmingly common within-session repeat without hashing at all.)
-  if (Desc.Deterministic) {
-    auto MemoIt = ObsMemo.find(Desc.Id);
-    if (MemoIt != ObsMemo.end() && MemoIt->second.first == ModEpoch) {
-      Out = MemoIt->second.second;
-      Out.Type = Space.Type;
-      ++ObsMemoHits;
-      static telemetry::Counter &MemoHits =
-          telemetry::MetricsRegistry::global().counter(
-              "cg_session_obs_memo_hits_total", {},
-              "Within-session deterministic observation memo hits");
-      MemoHits.inc();
-      return Status::ok();
-    }
-  }
-
-  CG_RETURN_IF_ERROR(computeObservationUncached(Desc.Id, Space, Out));
-  if (Desc.Deterministic)
-    ObsMemo[Desc.Id] = {ModEpoch, Out};
-  return Status::ok();
-}
-
-Status
-LlvmSession::computeObservationUncached(int SpaceId,
-                                        const ObservationSpaceInfo &Space,
-                                        Observation &Out) {
-  switch (static_cast<LlvmObs>(SpaceId)) {
+  switch (SpaceTable[It->second].Id) {
   case ObsIr:
     Out.Str = ir::printModule(*Mod);
     return Status::ok();
@@ -413,7 +377,8 @@ uint64_t LlvmSession::stateKey() {
     // Benchmark URI disambiguates baseline-relative observations (e.g.
     // IrInstructionCountOz) between benchmarks whose IR happens to
     // coincide. Hashing walks the whole module, so the digest is cached
-    // per action epoch rather than recomputed per request.
+    // until an action changes the module rather than recomputed per
+    // request.
     uint64_t Key = hashCombine(fnv1a(Bench.Uri), Mod->hash().low64());
     CachedStateKey = Key ? Key : 1;
     // Every newly keyed state is published as a restorable snapshot: a
@@ -464,10 +429,8 @@ StatusOr<std::unique_ptr<CompilationSession>> LlvmSession::fork() {
     // loop sets and feature vectors remain valid in the child.
     Clone->PM->analysisManager().adoptFrom(PM->analysisManager());
   }
-  Clone->ModEpoch = ModEpoch;
   Clone->CachedStateKey = CachedStateKey;
   Clone->LastExposedKey = LastExposedKey;
-  Clone->ObsMemo = ObsMemo;
   Clone->NoiseGen = NoiseGen.split();
   Clone->OzInstructionCount = OzInstructionCount;
   Clone->OzTextSize = OzTextSize;

@@ -14,12 +14,10 @@
 /// The session keeps a stateful passes::PassManager across step() calls:
 /// pass objects are constructed once, and the AnalysisManager carries
 /// dominator trees, loop info and per-function feature vectors between
-/// actions, invalidating only what each pass reports clobbered. Repeated
-/// observations of an unchanged module are memoized per session (keyed on
-/// an action-epoch counter), and the module StateHash behind stateKey() is
-/// cached per epoch so the runtime's shared ObservationCache can
-/// deduplicate across sessions without re-walking the module on every
-/// request.
+/// actions, invalidating only what each pass reports clobbered. The module
+/// digest behind stateKey() is cached until an action changes the module,
+/// so the service's ObservationCache can answer repeats without re-walking
+/// the module on every request.
 ///
 /// Observation spaces: Ir, InstCount, Autophase, Inst2vec, Programl,
 /// IrInstructionCount, IrInstructionCountOz, ObjectTextSizeBytes,
@@ -38,7 +36,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 
 namespace compiler_gym {
 namespace envs {
@@ -68,8 +65,6 @@ public:
   /// The session's pass manager (analysis-cache telemetry in tests/bench);
   /// nullptr before init().
   passes::PassManager *passManager() { return PM.get(); }
-  /// Memoized-observation hits for this session (test/bench telemetry).
-  uint64_t observationMemoHits() const { return ObsMemoHits; }
 
   /// Process-wide parsed-benchmark cache statistics (Table II ablation).
   static uint64_t cacheHits();
@@ -83,10 +78,7 @@ private:
   /// snapshot the store retains) so no partial batch mutation escapes a
   /// cancelled request, then returns DeadlineExceeded carrying \p Why.
   Status cancelRollback(const std::string &Why);
-  Status computeObservationUncached(int SpaceId,
-                                    const service::ObservationSpaceInfo &Space,
-                                    service::Observation &Out);
-  /// Resets per-episode derived state (pass manager, memo, state key).
+  /// Resets per-episode derived state (pass manager, state key).
   void rebindModule();
 
   std::vector<std::string> ActionNames;
@@ -97,19 +89,14 @@ private:
   datasets::Benchmark Bench;
   Rng NoiseGen{0xB0A710AD};
 
-  /// Monotonic epoch: bumped every time an action changes the module.
-  uint64_t ModEpoch = 0;
-  /// Module state key, computed lazily once per epoch.
+  /// Module state key, computed lazily; reset when an action changes the
+  /// module.
   std::optional<uint64_t> CachedStateKey;
   /// The last state key handed out through stateKey()/restore(): the state
   /// the client believes committed, and the rollback target when a
   /// cancelled action must not leak partial mutations. 0 before the first
   /// exposure (rollback then re-parses the benchmark).
   uint64_t LastExposedKey = 0;
-  /// Deterministic observations memoized for the current epoch:
-  /// space id -> (epoch, observation).
-  std::unordered_map<int, std::pair<uint64_t, service::Observation>> ObsMemo;
-  uint64_t ObsMemoHits = 0;
 
   // Lazily computed -Oz / -O3 baselines for scaled rewards.
   int64_t OzInstructionCount = -1;

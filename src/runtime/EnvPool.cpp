@@ -353,9 +353,7 @@ PoolStats EnvPool::stats() const {
   for (const std::unique_ptr<core::CompilerEnv> &E : Envs)
     Out.EnvRecoveries += E->serviceRecoveries();
   Out.ShardRestarts = Broker->shardRestarts();
-  if (ObservationCache *Cache = Broker->observationCache()) {
-    Out.CacheHits = Cache->hits();
-    Out.CacheMisses = Cache->misses();
-  }
+  Out.CacheHits = Broker->observationCache().hits();
+  Out.CacheMisses = Broker->observationCache().misses();
   return Out;
 }

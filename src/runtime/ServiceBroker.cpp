@@ -40,8 +40,6 @@ ServiceBroker::ServiceBroker(BrokerOptions Opts) : Opts(Opts) {
   shardRestartsTotal();
   hungRestartsTotal();
   size_t N = std::max<size_t>(1, Opts.NumShards);
-  if (this->Opts.EnableObservationCache)
-    ObsCache = std::make_shared<ObservationCache>(this->Opts.Cache);
   Shards.reserve(N);
   for (size_t I = 0; I < N; ++I)
     Shards.push_back(makeShard());
@@ -51,9 +49,7 @@ ServiceBroker::ServiceBroker(BrokerOptions Opts) : Opts(Opts) {
 
 std::unique_ptr<ServiceBroker::Shard> ServiceBroker::makeShard() {
   auto S = std::make_unique<Shard>();
-  S->Service = std::make_shared<service::CompilerService>();
-  if (ObsCache)
-    S->Service->setObservationCache(ObsCache);
+  S->Service = std::make_shared<service::CompilerService>(ObsCache);
   // One dispatcher thread per shard: the process boundary of the paper's
   // per-environment service, so shards execute requests concurrently.
   std::shared_ptr<service::CompilerService> Service = S->Service;

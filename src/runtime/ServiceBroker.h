@@ -15,7 +15,9 @@
 /// their sessions by replaying their action histories, which scales the
 /// paper's §IV-B crash-recovery semantics from one env/one service to a
 /// whole fleet. Hung shards surface as client-side DeadlineExceeded and are
-/// recovered by the same env-side path.
+/// recovered by the same env-side path. Every shard's service shares one
+/// service::ObservationCache, so a state one shard observed is a hit (and
+/// a delta base) on all of them.
 ///
 /// Hung-shard watchdog (opt-in via StallWindowMs): every service publishes
 /// a relaxed-atomic progress heartbeat (bumped per completed RPC and per
@@ -34,7 +36,6 @@
 #ifndef COMPILER_GYM_RUNTIME_SERVICEBROKER_H
 #define COMPILER_GYM_RUNTIME_SERVICEBROKER_H
 
-#include "runtime/ObservationCache.h"
 #include "service/ServiceClient.h"
 
 #include <atomic>
@@ -62,9 +63,6 @@ struct BrokerOptions {
   /// Size it to several times the longest honest pause between heartbeat
   /// polls (pass boundaries / per-function polls), plus monitor jitter.
   int StallWindowMs = 0;
-  /// Share one ObservationCache across all shards.
-  bool EnableObservationCache = true;
-  ObservationCacheOptions Cache;
 };
 
 /// Owns N service shards; routes sessions; restarts dead shards.
@@ -120,8 +118,8 @@ public:
     return HungRestarts.load(std::memory_order_relaxed);
   }
 
-  /// The shared observation cache; nullptr when disabled.
-  ObservationCache *observationCache() { return ObsCache.get(); }
+  /// The observation cache every shard's service shares.
+  service::ObservationCache &observationCache() { return *ObsCache; }
 
 private:
   struct Shard {
@@ -148,7 +146,8 @@ private:
   std::vector<std::pair<std::shared_ptr<service::CompilerService>,
                         std::shared_ptr<service::Transport>>>
       Graveyard;
-  std::shared_ptr<ObservationCache> ObsCache;
+  std::shared_ptr<service::ObservationCache> ObsCache =
+      std::make_shared<service::ObservationCache>();
   std::atomic<uint64_t> Restarts{0};
   std::atomic<uint64_t> HungRestarts{0};
 

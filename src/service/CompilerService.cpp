@@ -109,30 +109,22 @@ Counter &fullRepliesTotal() {
 
 } // namespace
 
-CompilerService::CompilerService() {
+CompilerService::CompilerService(std::shared_ptr<ObservationCache> Cache)
+    : ObsCache(std::move(Cache)) {
   // Pre-register (PR 6 convention): the zero-valued series shows up on the
   // first scrape, before any deadline is ever missed.
   (void)deadlineExceededServiceTotal();
 }
-
-ObservationCacheBase::~ObservationCacheBase() = default;
 
 void CompilerService::restart() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Sessions.clear();
   ServedReplies.clear();
   ServedOrder.clear();
-  LastSent.clear();
   Crashed.store(false, std::memory_order_relaxed);
   AbortRequested.store(false, std::memory_order_relaxed);
   OpsHandled.store(0, std::memory_order_relaxed);
   CG_LOG_INFO_FOR("service", 0) << "compiler service restarted";
-}
-
-void CompilerService::setObservationCache(
-    std::shared_ptr<ObservationCacheBase> Cache) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ObsCache = std::move(Cache);
 }
 
 size_t CompilerService::numSessions() const {
@@ -299,7 +291,6 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
 
   case RequestKind::EndSession: {
     Sessions.erase(Req.End.SessionId);
-    LastSent.erase(Req.End.SessionId);
     return Reply;
   }
 
@@ -376,14 +367,11 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
           telemetry::Tracer::global().enabled() ? "observe:" + SpaceName
                                                 : std::string(),
           "service");
-      // Only deterministic observations are cacheable or delta-encodable;
+      // Only deterministic observations are cached or delta-encoded;
       // Runtime-style spaces vary per measurement and must always be
       // recomputed and shipped in full.
-      bool Cacheable =
-          ObsCache && Info->Deterministic && stateKeyOnce() != 0;
-      uint64_t CurKey =
-          Info->Deterministic && deltaEligible(Info->Type) ? stateKeyOnce()
-                                                           : 0;
+      uint64_t Key = Info->Deterministic ? stateKeyOnce() : 0;
+      uint64_t CurKey = deltaEligible(Info->Type) ? Key : 0;
       // Delta handshake: the client advertised the key of a full value it
       // retains. When the state has not moved since, reply with an empty
       // "unchanged" delta before computing (or even copying) anything —
@@ -402,53 +390,40 @@ ReplyEnvelope CompilerService::dispatch(const RequestEnvelope &Req,
         Reply.Step.Observations.push_back(std::move(Delta));
         continue;
       }
+      // The client's base is the cached value at its key. Look it up
+      // before inserting the new value, so a large base is not evicted by
+      // the value that replaces it.
+      std::shared_ptr<const Observation> Base =
+          CurKey && BaseKey ? ObsCache->lookup(BaseKey, SpaceName) : nullptr;
+      std::shared_ptr<const Observation> Cached =
+          Key ? ObsCache->lookup(Key, SpaceName) : nullptr;
       Observation Obs;
-      bool FromCache = Cacheable && ObsCache->lookup(StateKey, SpaceName, Obs);
-      if (!FromCache) {
+      if (!Cached) {
         if (Status S = Session.computeObservation(*Info, Obs); !S.isOk())
           return fail(S);
         Obs.StateKey = CurKey;
-        if (Cacheable)
-          ObsCache->insert(StateKey, SpaceName, Obs);
-      } else {
-        Obs.StateKey = CurKey;
+        if (Key)
+          Cached = ObsCache->insert(Key, SpaceName, std::move(Obs));
       }
-
       // The state moved (or the client holds no base): answer with only
-      // the changed segments when we retain (or can look up) the client's
-      // base, falling back to the legacy full payload. Base values are
-      // only retained for clients that speak the handshake — a
-      // delta-unaware client should not cost a per-session payload copy.
-      bool ClientDeltas = !Req.Step.ObservationBaseKeys.empty();
-      if (CurKey && BaseKey) {
+      // the changed segments when the base is still cached, falling back
+      // to the full payload.
+      if (Base) {
         telemetry::SpanScope DeltaSpan("delta.encode", "service");
-        const Observation *Base = nullptr;
-        Observation CachedBase;
-        auto SessIt = LastSent.find(Req.Step.SessionId);
-        if (SessIt != LastSent.end()) {
-          auto SpIt = SessIt->second.find(SpaceName);
-          if (SpIt != SessIt->second.end() &&
-              SpIt->second.StateKey == BaseKey)
-            Base = &SpIt->second;
-        }
-        if (!Base && ObsCache &&
-            ObsCache->lookup(BaseKey, SpaceName, CachedBase) &&
-            CachedBase.Type == Obs.Type)
-          Base = &CachedBase;
         Observation Delta;
-        if (Base && encodeObservationDelta(*Base, Obs, Delta)) {
+        if (encodeObservationDelta(*Base, *Cached, Delta)) {
           Delta.StateKey = CurKey;
           Delta.BaseKey = BaseKey;
           deltaRepliesTotal().inc();
-          LastSent[Req.Step.SessionId][SpaceName] = std::move(Obs);
           Reply.Step.Observations.push_back(std::move(Delta));
           continue;
         }
       }
-      if (CurKey && ClientDeltas)
-        LastSent[Req.Step.SessionId][SpaceName] = Obs;
       fullRepliesTotal().inc();
-      Reply.Step.Observations.push_back(std::move(Obs));
+      if (Cached)
+        Reply.Step.Observations.push_back(*Cached);
+      else
+        Reply.Step.Observations.push_back(std::move(Obs));
     }
     // Tell the client where it now is, so a later crash recovery can
     // restore this exact state by key instead of replaying actions.

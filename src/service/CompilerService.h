@@ -18,6 +18,7 @@
 #define COMPILER_GYM_SERVICE_COMPILERSERVICE_H
 
 #include "service/CompilationSession.h"
+#include "service/ObservationCache.h"
 #include "service/Serialization.h"
 
 #include <atomic>
@@ -30,38 +31,21 @@
 namespace compiler_gym {
 namespace service {
 
-/// Interface to a cross-service observation cache. Implemented by
-/// runtime::ObservationCache; declared here so the service layer does not
-/// depend on the runtime layer. Implementations must be thread-safe: one
-/// cache is typically shared by every shard of a ServiceBroker.
-class ObservationCacheBase {
-public:
-  virtual ~ObservationCacheBase();
-
-  /// Returns true and fills \p Out when (StateKey, SpaceName) is cached.
-  virtual bool lookup(uint64_t StateKey, const std::string &SpaceName,
-                      Observation &Out) = 0;
-
-  /// Stores a computed observation under (StateKey, SpaceName).
-  virtual void insert(uint64_t StateKey, const std::string &SpaceName,
-                      const Observation &Obs) = 0;
-};
-
 /// Hosts sessions; decodes requests, dispatches, encodes replies.
 class CompilerService {
 public:
-  CompilerService();
+  /// \p Cache holds the service's deterministic observations; a broker
+  /// passes one shared instance to all its shards.
+  explicit CompilerService(std::shared_ptr<ObservationCache> Cache =
+                               std::make_shared<ObservationCache>());
 
   /// The transport handler: one serialized request in, one serialized
   /// reply out. Thread-compatible (called from the dispatcher thread).
   std::string handle(const std::string &RequestBytes);
 
   /// Simulates a process relaunch: clears all sessions and the crash flag.
+  /// The observation cache survives, like the snapshot store.
   void restart();
-
-  /// Installs a shared cache consulted for deterministic observations of
-  /// sessions that expose a stateKey(). May be shared across services.
-  void setObservationCache(std::shared_ptr<ObservationCacheBase> Cache);
 
   bool crashed() const { return Crashed.load(std::memory_order_relaxed); }
   size_t numSessions() const;
@@ -111,7 +95,9 @@ private:
   std::atomic<uint64_t> OpsHandled{0};
   uint64_t NextSessionId = 1;
   std::map<uint64_t, std::unique_ptr<CompilationSession>> Sessions;
-  std::shared_ptr<ObservationCacheBase> ObsCache;
+  /// Deterministic observations by (stateKey(), space): answers repeats
+  /// and supplies the base each wire delta is diffed against. Never null.
+  std::shared_ptr<ObservationCache> ObsCache;
   /// Reply cache for request deduplication (idempotent retries): a retry
   /// carrying a RequestId we already served replays the stored reply
   /// instead of re-executing — a timed-out request is not removed from the
@@ -120,12 +106,6 @@ private:
   static constexpr size_t DedupWindow = 512;
   std::unordered_map<uint64_t, std::string> ServedReplies;
   std::deque<uint64_t> ServedOrder;
-  /// Per-session retained copy of the last full observation sent per
-  /// delta-eligible space (each carries its StateKey): the base the next
-  /// delta is computed against even when no shared ObservationCache is
-  /// installed. Bounded by live sessions x delta-eligible spaces; dropped
-  /// on EndSession and restart().
-  std::map<uint64_t, std::unordered_map<std::string, Observation>> LastSent;
 };
 
 } // namespace service

@@ -84,9 +84,9 @@ struct ObservationSegment {
 /// ObservationSegments relative to BaseKey, instead of the full payload.
 /// An empty segment list with IsDelta means "unchanged since your base".
 /// Keys are content-addressed, so they survive fork() and crash-recovery
-/// replay. A service that cannot produce a delta (no base retained, space
-/// nondeterministic or scalar) falls back to the legacy full payload with
-/// IsDelta unset.
+/// replay. A service that cannot produce a delta (base no longer in its
+/// ObservationCache, space nondeterministic or scalar) falls back to the
+/// legacy full payload with IsDelta unset.
 struct Observation {
   ObservationType Type = ObservationType::Int64Value;
   std::vector<int64_t> Ints;

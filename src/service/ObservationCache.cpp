@@ -1,27 +1,26 @@
-//===- runtime/ObservationCache.cpp ---------------------------*- C++ -*-===//
+//===- service/ObservationCache.cpp ---------------------------*- C++ -*-===//
 //
 // Part of the CompilerGym-C++ reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/ObservationCache.h"
+#include "service/ObservationCache.h"
 
+#include "service/Serialization.h"
 #include "telemetry/MetricsRegistry.h"
 #include "util/Hash.h"
 
-#include <algorithm>
-
 using namespace compiler_gym;
-using namespace compiler_gym::runtime;
+using namespace compiler_gym::service;
 
 namespace {
 
-// Process-wide mirrors of the per-instance counters: one cache is usually
-// shared by a whole broker, but several can coexist (tests, pools); the
-// registry series aggregates across all of them.
+// Process-wide mirrors of the per-instance counters: every service owns a
+// cache (a broker's shards share one), so the registry series aggregates
+// across all of them.
 telemetry::Counter &cacheEvent(const char *Kind) {
   static telemetry::MetricsRegistry &M = telemetry::MetricsRegistry::global();
-  static const char *Help = "Cross-session observation cache events";
+  static const char *Help = "Observation cache events";
   static telemetry::Counter &Hits =
       M.counter("cg_obs_cache_events_total", {{"event", "hit"}}, Help);
   static telemetry::Counter &Misses =
@@ -37,19 +36,13 @@ telemetry::Counter &cacheEvent(const char *Kind) {
 
 } // namespace
 
-ObservationCache::ObservationCache(ObservationCacheOptions Opts)
-    : Opts(Opts), Stripes(std::max<size_t>(1, Opts.NumStripes)) {
-  this->Opts.NumStripes = Stripes.size();
-  this->Opts.CapacityPerStripe = std::max<size_t>(1, Opts.CapacityPerStripe);
-}
-
 uint64_t ObservationCache::entryKey(uint64_t StateKey,
                                     const std::string &SpaceName) {
   return hashCombine(StateKey, fnv1a(SpaceName));
 }
 
-bool ObservationCache::lookup(uint64_t StateKey, const std::string &SpaceName,
-                              service::Observation &Out) {
+std::shared_ptr<const Observation>
+ObservationCache::lookup(uint64_t StateKey, const std::string &SpaceName) {
   uint64_t Key = entryKey(StateKey, SpaceName);
   Stripe &S = stripeFor(Key);
   std::lock_guard<std::mutex> Lock(S.Mutex);
@@ -57,34 +50,40 @@ bool ObservationCache::lookup(uint64_t StateKey, const std::string &SpaceName,
   if (It == S.Map.end()) {
     Misses.fetch_add(1, std::memory_order_relaxed);
     cacheEvent("miss").inc();
-    return false;
+    return nullptr;
   }
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // Promote to MRU.
-  Out = It->second->Obs;
   Hits.fetch_add(1, std::memory_order_relaxed);
   cacheEvent("hit").inc();
-  return true;
+  return It->second->Obs;
 }
 
-void ObservationCache::insert(uint64_t StateKey, const std::string &SpaceName,
-                              const service::Observation &Obs) {
+std::shared_ptr<const Observation>
+ObservationCache::insert(uint64_t StateKey, const std::string &SpaceName,
+                         Observation Obs) {
   uint64_t Key = entryKey(StateKey, SpaceName);
+  size_t Bytes = observationWireSize(Obs);
+  auto Stored = std::make_shared<const Observation>(std::move(Obs));
   Stripe &S = stripeFor(Key);
   std::lock_guard<std::mutex> Lock(S.Mutex);
   auto It = S.Map.find(Key);
   if (It != S.Map.end()) {
     // Another worker computed it concurrently; refresh recency only.
     S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    return;
+    return It->second->Obs;
   }
-  S.Lru.push_front(Entry{Key, Obs});
+  S.Lru.push_front(Entry{Key, Stored, Bytes});
   S.Map.emplace(Key, S.Lru.begin());
-  if (S.Lru.size() > Opts.CapacityPerStripe) {
+  S.Bytes += Bytes;
+  while (S.Lru.size() > EntriesPerStripe ||
+         (S.Bytes > BytesPerStripe && S.Lru.size() > 1)) {
+    S.Bytes -= S.Lru.back().Bytes;
     S.Map.erase(S.Lru.back().Key);
     S.Lru.pop_back();
     Evictions.fetch_add(1, std::memory_order_relaxed);
     cacheEvent("eviction").inc();
   }
+  return Stored;
 }
 
 size_t ObservationCache::size() const {
@@ -96,10 +95,20 @@ size_t ObservationCache::size() const {
   return Total;
 }
 
+size_t ObservationCache::bytes() const {
+  size_t Total = 0;
+  for (const Stripe &S : Stripes) {
+    std::lock_guard<std::mutex> Lock(S.Mutex);
+    Total += S.Bytes;
+  }
+  return Total;
+}
+
 void ObservationCache::clear() {
   for (Stripe &S : Stripes) {
     std::lock_guard<std::mutex> Lock(S.Mutex);
     S.Lru.clear();
     S.Map.clear();
+    S.Bytes = 0;
   }
 }

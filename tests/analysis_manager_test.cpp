@@ -7,8 +7,10 @@
 // corpus of generated programs, running the pass under the AnalysisManager
 // must leave every cached analysis (dominators, loops, feature vectors)
 // byte-equal to a from-scratch recomputation. Plus the preservation-lie
-// detector, pass-instance reuse, the incremental feature cache, and the
-// state digest over every state the corpus reaches.
+// detector, pass-instance reuse, the incremental feature cache, the state
+// digest over every state the corpus reaches, and the invariant the
+// service's observation cache relies on: deterministic observations are a
+// function of the session's state key.
 
 #include "analysis/Autophase.h"
 #include "analysis/FeatureCache.h"
@@ -26,6 +28,8 @@
 #include "passes/PassManager.h"
 #include "passes/Utils.h"
 #include "passes/PassRegistry.h"
+#include "service/Serialization.h"
+#include "util/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -494,7 +498,7 @@ TEST(ModuleHash, ForkKeepsDigest) {
 
 // -- Session-level composition ----------------------------------------------
 
-TEST(LlvmSessionCaching, MemoizesObservationsPerEpoch) {
+TEST(LlvmSessionCaching, ObservationsAndStateKeyFollowTheModule) {
   auto B = datasets::DatasetRegistry::instance().resolve(
       "benchmark://cbench-v1/crc32");
   ASSERT_TRUE(B.isOk());
@@ -510,13 +514,11 @@ TEST(LlvmSessionCaching, MemoizesObservationsPerEpoch) {
 
   service::Observation O1, O2;
   ASSERT_TRUE(Session.computeObservation(InstCountSpace, O1).isOk());
-  EXPECT_EQ(Session.observationMemoHits(), 0u);
   ASSERT_TRUE(Session.computeObservation(InstCountSpace, O2).isOk());
-  EXPECT_EQ(Session.observationMemoHits(), 1u);
   EXPECT_EQ(O1.Ints, O2.Ints);
   EXPECT_EQ(O1.Ints, analysis::instCount(*Session.module()));
 
-  // The state key is cached per epoch and changes when the module does.
+  // The state key is cached and changes when the module does.
   uint64_t Key1 = Session.stateKey();
   EXPECT_EQ(Key1, Session.stateKey());
   const auto &Actions = Spaces[0].ActionNames;
@@ -531,7 +533,6 @@ TEST(LlvmSessionCaching, MemoizesObservationsPerEpoch) {
   ASSERT_TRUE(Session.applyAction(A, End, SpaceChanged).isOk());
   service::Observation O3;
   ASSERT_TRUE(Session.computeObservation(InstCountSpace, O3).isOk());
-  EXPECT_EQ(Session.observationMemoHits(), 1u); // New epoch: recomputed.
   EXPECT_EQ(O3.Ints, analysis::instCount(*Session.module()));
   EXPECT_NE(Session.stateKey(), Key1);
 
@@ -555,6 +556,105 @@ TEST(LlvmSessionCaching, ForkGetsIndependentCaches) {
   EXPECT_EQ(Clone->stateKey(), Key); // Same state, independent module.
   EXPECT_NE(Clone->module(), Session.module());
   EXPECT_NE(Clone->passManager(), Session.passManager());
+}
+
+/// The wire bytes of one observation: the unit the service's cache stores
+/// and diffs deltas against.
+std::string wireBytes(const service::Observation &O) {
+  service::ReplyEnvelope Reply;
+  Reply.Step.Observations = {O};
+  return service::encodeReply(Reply);
+}
+
+TEST(LlvmSessionCaching, DeterministicSpacesAreAFunctionOfStateKey) {
+  // The service answers every session from the value cached under its
+  // stateKey(), and diffs wire deltas against the value cached under the
+  // client's base key. That is sound only if each deterministic space is
+  // byte-equal for equal keys however the state was reached: incrementally
+  // in a warm session, in a fork carrying the parent's analysis caches, or
+  // by a cold replay into a fresh session.
+  const char *Programs[] = {
+      "benchmark://cbench-v1/crc32", "benchmark://csmith-v0/7",
+      "benchmark://github-v0/3", "benchmark://llvm-stress-v0/5"};
+  constexpr size_t EpisodeLength = 12;
+  constexpr size_t ForkAt = 4;
+  const size_t ColdPrefixes[] = {2, 6, 12};
+
+  std::map<std::pair<uint64_t, std::string>, std::string> Seen;
+  // Forks and cold replays retrace the warm session's actions, so every
+  // state they reach must already be keyed, and is compared.
+  auto observeAll = [&](envs::LlvmSession &S, const std::string &Where,
+                        bool Revisit) {
+    uint64_t Key = S.stateKey();
+    for (const service::ObservationSpaceInfo &Space :
+         S.getObservationSpaces()) {
+      // The -Oz baselines are computed from the benchmark, not the state,
+      // and cost an -Oz pipeline per session; the key covers them through
+      // the benchmark URI.
+      if (!Space.Deterministic || Space.Name.ends_with("Oz"))
+        continue;
+      service::Observation O;
+      ASSERT_TRUE(S.computeObservation(Space, O).isOk())
+          << Where << " " << Space.Name;
+      auto [It, New] = Seen.emplace(std::make_pair(Key, Space.Name),
+                                    wireBytes(O));
+      if (Revisit) {
+        EXPECT_FALSE(New) << Where << " " << Space.Name << " unseen key";
+      }
+      if (!New) {
+        EXPECT_EQ(It->second, wireBytes(O)) << Where << " " << Space.Name;
+      }
+    }
+  };
+  auto applyAll = [](envs::LlvmSession &S, const std::vector<int> &Actions) {
+    for (int Index : Actions) {
+      service::Action A;
+      A.Index = Index;
+      bool End = false, SpaceChanged = false;
+      ASSERT_TRUE(S.applyAction(A, End, SpaceChanged).isOk());
+    }
+  };
+
+  Rng Gen(0x57A7E);
+  for (const char *Uri : Programs) {
+    auto B = datasets::DatasetRegistry::instance().resolve(Uri);
+    ASSERT_TRUE(B.isOk()) << Uri;
+    for (int Episode = 0; Episode < 2; ++Episode) {
+      envs::LlvmSession Warm;
+      const service::ActionSpace Space = Warm.getActionSpaces()[0];
+      ASSERT_TRUE(Warm.init(Space, *B).isOk());
+      std::vector<int> Actions;
+      for (size_t I = 0; I < EpisodeLength; ++I)
+        Actions.push_back(
+            static_cast<int>(Gen.bounded(Space.ActionNames.size())));
+      std::string Where = std::string(Uri) + " episode " +
+                          std::to_string(Episode) + " step ";
+
+      std::unique_ptr<service::CompilationSession> Fork;
+      observeAll(Warm, Where + "0 (warm)", false);
+      for (size_t I = 0; I < EpisodeLength; ++I) {
+        applyAll(Warm, {Actions[I]});
+        observeAll(Warm, Where + std::to_string(I + 1) + " (warm)", false);
+        if (I + 1 == ForkAt) {
+          auto Forked = Warm.fork();
+          ASSERT_TRUE(Forked.isOk());
+          Fork = Forked.takeValue();
+        }
+      }
+      auto &Forked = static_cast<envs::LlvmSession &>(*Fork);
+      for (size_t I = ForkAt; I < EpisodeLength; ++I) {
+        applyAll(Forked, {Actions[I]});
+        observeAll(Forked, Where + std::to_string(I + 1) + " (fork)", true);
+      }
+      for (size_t Prefix : ColdPrefixes) {
+        envs::LlvmSession Cold;
+        ASSERT_TRUE(Cold.init(Space, *B).isOk());
+        applyAll(Cold, std::vector<int>(Actions.begin(),
+                                        Actions.begin() + Prefix));
+        observeAll(Cold, Where + std::to_string(Prefix) + " (cold)", true);
+      }
+    }
+  }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -206,6 +207,41 @@ TEST(Env, RuntimeRewardOnlyForRunnableBenchmarks) {
   auto Seconds = Runnable->observation()["Runtime"];
   ASSERT_TRUE(Seconds.isOk()) << Seconds.status().toString();
   EXPECT_GT(*Seconds->asDouble(), 0.0);
+}
+
+TEST(Env, FailedStepLeavesNoPhantomAction) {
+  // The service applies mem2reg before the Runtime observation fails on a
+  // non-runnable benchmark. The env commits nothing, so the live session
+  // must not keep the action either: replaying the recorded history (as a
+  // crash recovery does) has to reach the live state.
+  MakeOptions Opts;
+  Opts.Benchmark = "benchmark://chstone-v0/sha"; // Not runnable.
+  Opts.ObservationSpace = "none";
+  Opts.RewardSpace = "IrInstructionCount";
+  auto Env = make("llvm-v0", Opts);
+  ASSERT_TRUE(Env.isOk());
+  ASSERT_TRUE((*Env)->reset().isOk());
+  auto Committed = (*Env)->rawObservations({"IrHash"});
+  ASSERT_TRUE(Committed.isOk());
+  const auto &Names = (*Env)->actionSpace().ActionNames;
+  int Mem2Reg = static_cast<int>(
+      std::find(Names.begin(), Names.end(), "mem2reg") - Names.begin());
+  ASSERT_LT(static_cast<size_t>(Mem2Reg), Names.size());
+
+  auto R = (*Env)->step({Mem2Reg}, {"Runtime"}, {});
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.status().code(), StatusCode::FailedPrecondition);
+  EXPECT_EQ((*Env)->episodeLength(), 0u);
+  auto Live = (*Env)->rawObservations({"IrHash"});
+  ASSERT_TRUE(Live.isOk()) << Live.status().toString();
+  EXPECT_EQ((*Live)[0].Str, (*Committed)[0].Str);
+
+  // The action itself is fine: stepped without Runtime it commits.
+  ASSERT_TRUE((*Env)->step(Mem2Reg).isOk());
+  EXPECT_EQ((*Env)->episodeLength(), 1u);
+  auto Moved = (*Env)->rawObservations({"IrHash"});
+  ASSERT_TRUE(Moved.isOk());
+  EXPECT_NE((*Moved)[0].Str, (*Committed)[0].Str);
 }
 
 TEST(Env, ScaledRewardReachesOneAtOzParity) {

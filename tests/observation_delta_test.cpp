@@ -6,15 +6,18 @@
 // The wire-delta contract: delta encode/apply round-trips, serialization of
 // delta-carrying replies (and the legacy full-payload path), malformed-delta
 // rejection, and the end-to-end epoch handshake through CompilerEnv —
-// including equality with full recomputation, fork, and crash recovery.
+// including equality with full recomputation, fork, crash recovery, and
+// the service's observation cache as the source of delta bases.
 
 #include "core/Registry.h"
 #include "fault/FaultRegistry.h"
-#include "runtime/ObservationCache.h"
+#include "runtime/ServiceBroker.h"
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace compiler_gym;
 using namespace compiler_gym::service;
@@ -284,14 +287,12 @@ TEST(ObservationDeltaE2E, ForkedEnvInheritsBasesAndStaysCorrect) {
 }
 
 TEST(ObservationDeltaE2E, DuplicateSpaceNamesInOneRequest) {
-  // A request naming the same space twice can get two deltas against the
-  // same advertised base (the second served from the shared cache after
-  // the first updated the service's retained copy); reconstruction must
-  // settle both against the pre-request base.
+  // A request naming the same space twice gets two deltas against the same
+  // advertised base (the second answered from the cache entry the first
+  // inserted); reconstruction must settle both against the pre-request
+  // base.
   auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
   ASSERT_TRUE(Env.isOk());
-  (*Env)->client().service()->setObservationCache(
-      std::make_shared<runtime::ObservationCache>());
   ASSERT_TRUE((*Env)->reset().isOk());
   const std::vector<std::string> Dup = {"Inst2vec", "Inst2vec"};
   ASSERT_TRUE((*Env)->rawObservations(Dup).isOk());
@@ -301,6 +302,84 @@ TEST(ObservationDeltaE2E, DuplicateSpaceNamesInOneRequest) {
     ASSERT_TRUE(Obs.isOk()) << Obs.status().toString();
     EXPECT_EQ((*Obs)[0].Doubles, (*Obs)[1].Doubles);
   }
+}
+
+/// Index of \p Name in \p Env's action space, or -1.
+int actionIndex(core::CompilerEnv &Env, const std::string &Name) {
+  const std::vector<std::string> &Names = Env.actionSpace().ActionNames;
+  auto It = std::find(Names.begin(), Names.end(), Name);
+  return It == Names.end() ? -1 : static_cast<int>(It - Names.begin());
+}
+
+/// The Inst2vec observation of crc32 after \p Actions, from a fresh env.
+std::vector<double> referenceInst2vec(const std::vector<int> &Actions) {
+  auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
+  EXPECT_TRUE(Env.isOk());
+  EXPECT_TRUE((*Env)->reset().isOk());
+  EXPECT_TRUE((*Env)->step(Actions).isOk());
+  auto Obs = (*Env)->rawObservations({"Inst2vec"});
+  EXPECT_TRUE(Obs.isOk());
+  return Obs.isOk() ? (*Obs)[0].Doubles : std::vector<double>{};
+}
+
+TEST(ObservationDeltaE2E, RestartedPrivateServiceStillAnswersWithDeltas) {
+  // The observation cache outlives a service restart, so the client's base
+  // is still there after recovery: the moved state arrives as a delta.
+  auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
+  ASSERT_TRUE(Env.isOk());
+  ASSERT_TRUE((*Env)->reset().isOk());
+  int Mem2Reg = actionIndex(**Env, "mem2reg");
+  int Dce = actionIndex(**Env, "dce");
+  ASSERT_GE(Mem2Reg, 0);
+  ASSERT_GE(Dce, 0);
+  ASSERT_TRUE((*Env)->step({Mem2Reg}, {"Inst2vec"}, {}).isOk());
+
+  (*Env)->client().restartService();
+  uint64_t DeltasBefore = (*Env)->deltaRepliesReceived();
+  auto R = (*Env)->step({Dce}, {"Inst2vec"}, {});
+  ASSERT_TRUE(R.isOk()) << R.status().toString();
+  EXPECT_EQ((*Env)->serviceRecoveries(), 1u);
+  EXPECT_EQ((*Env)->deltaRepliesReceived(), DeltasBefore + 1);
+  ASSERT_EQ(R->Observations.size(), 1u);
+  EXPECT_EQ(*R->Observations[0].second.asDoubleList(),
+            referenceInst2vec({Mem2Reg, Dce}));
+}
+
+TEST(ObservationDeltaE2E, ClearedBrokerCacheFallsBackToFullPayloads) {
+  // Evicting the client's base (here: clearing the cache) leaves the
+  // service nothing to diff against, so the reply is the full payload, and
+  // it reconstructs byte-equal. With the base cached, the same dce step
+  // arrives as a delta (RestartedPrivateServiceStillAnswersWithDeltas).
+  runtime::BrokerOptions Opts;
+  Opts.NumShards = 1;
+  Opts.MonitorIntervalMs = 0;
+  runtime::ServiceBroker Broker(Opts);
+  core::CompilerEnvOptions EnvOpts;
+  EnvOpts.CompilerName = "llvm";
+  EnvOpts.BenchmarkUri = "benchmark://cbench-v1/crc32";
+  EnvOpts.ObservationSpace = ""; // Only the requested Inst2vec travels.
+  EnvOpts.RewardSpace = "";
+  auto Env = core::CompilerEnv::attach(EnvOpts, Broker.shardService(0),
+                                       Broker.shardTransport(0));
+  ASSERT_TRUE(Env.isOk()) << Env.status().toString();
+  ASSERT_TRUE((*Env)->reset().isOk());
+  ASSERT_TRUE((*Env)->rawObservations({"Inst2vec"}).isOk());
+  int Mem2Reg = actionIndex(**Env, "mem2reg");
+  ASSERT_GE(Mem2Reg, 0);
+
+  // With the base cached, the moved state is a delta.
+  ASSERT_TRUE((*Env)->step({Mem2Reg}, {"Inst2vec"}, {}).isOk());
+  EXPECT_EQ((*Env)->deltaRepliesReceived(), 1u);
+
+  int Dce = actionIndex(**Env, "dce");
+  ASSERT_GE(Dce, 0);
+  Broker.observationCache().clear();
+  auto R = (*Env)->step({Dce}, {"Inst2vec"}, {});
+  ASSERT_TRUE(R.isOk()) << R.status().toString();
+  EXPECT_EQ((*Env)->deltaRepliesReceived(), 1u);
+  ASSERT_EQ(R->Observations.size(), 1u);
+  EXPECT_EQ(*R->Observations[0].second.asDoubleList(),
+            referenceInst2vec({Mem2Reg, Dce}));
 }
 
 TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 // The parallel environment runtime: ServiceBroker shard routing and crash
 // recovery at fleet scale, EnvPool vectorized/episode-parallel stepping
-// with no episodes lost to injected faults, and the sharded
-// ObservationCache.
+// with no episodes lost to injected faults, and the striped
+// ObservationCache the broker shares across its shards.
 
 #include "runtime/EnvPool.h"
-#include "runtime/ObservationCache.h"
 #include "runtime/ServiceBroker.h"
 
 #include "core/Registry.h"
@@ -24,6 +23,7 @@
 
 using namespace compiler_gym;
 using namespace compiler_gym::runtime;
+using service::ObservationCache;
 
 namespace {
 
@@ -50,63 +50,98 @@ service::Observation intObs(int64_t V) {
 
 TEST(ObservationCache, RoundTripAndCounters) {
   ObservationCache Cache;
-  service::Observation Out;
-  EXPECT_FALSE(Cache.lookup(1, "Autophase", Out));
+  EXPECT_EQ(Cache.lookup(1, "Autophase"), nullptr);
   EXPECT_EQ(Cache.misses(), 1u);
   Cache.insert(1, "Autophase", intObs(42));
-  ASSERT_TRUE(Cache.lookup(1, "Autophase", Out));
-  EXPECT_EQ(Out.IntValue, 42);
+  auto Hit = Cache.lookup(1, "Autophase");
+  ASSERT_NE(Hit, nullptr);
+  EXPECT_EQ(Hit->IntValue, 42);
   EXPECT_EQ(Cache.hits(), 1u);
   // Same state, different space: distinct entry.
-  EXPECT_FALSE(Cache.lookup(1, "InstCount", Out));
+  EXPECT_EQ(Cache.lookup(1, "InstCount"), nullptr);
   // Different state, same space: distinct entry.
-  EXPECT_FALSE(Cache.lookup(2, "Autophase", Out));
+  EXPECT_EQ(Cache.lookup(2, "Autophase"), nullptr);
+  EXPECT_EQ(Cache.size(), 1u);
+  // A second insert of a stored key keeps (and returns) the first value.
+  EXPECT_EQ(Cache.insert(1, "Autophase", intObs(7))->IntValue, 42);
   EXPECT_EQ(Cache.size(), 1u);
 }
 
 TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
-  ObservationCacheOptions Opts;
-  Opts.NumStripes = 1; // Single stripe: capacity is exact.
-  Opts.CapacityPerStripe = 4;
-  ObservationCache Cache(Opts);
-  for (int64_t I = 0; I < 4; ++I)
-    Cache.insert(static_cast<uint64_t>(I + 1), "S", intObs(I));
-  // Touch entry 1 so it is MRU, then overflow.
-  service::Observation Out;
-  ASSERT_TRUE(Cache.lookup(1, "S", Out));
-  Cache.insert(100, "S", intObs(100));
-  EXPECT_EQ(Cache.size(), 4u);
-  EXPECT_EQ(Cache.evictions(), 1u);
-  EXPECT_TRUE(Cache.lookup(1, "S", Out));   // Recently used: kept.
-  EXPECT_FALSE(Cache.lookup(2, "S", Out));  // LRU victim.
-  EXPECT_TRUE(Cache.lookup(100, "S", Out)); // New entry present.
+  ObservationCache Cache;
+  // Twice the fixed capacity, with one hot entry touched after every
+  // insert: each stripe overflows, evicting its least recently used
+  // entries, and never the hot one.
+  constexpr uint64_t Hot = 1;
+  Cache.insert(Hot, "S", intObs(-1));
+  constexpr size_t Inserts = 2 * ObservationCache::capacity();
+  for (size_t I = 0; I < Inserts; ++I) {
+    Cache.insert(I + 100, "S", intObs(static_cast<int64_t>(I)));
+    ASSERT_NE(Cache.lookup(Hot, "S"), nullptr) << "after insert " << I;
+  }
+  EXPECT_EQ(Cache.size(), ObservationCache::capacity());
+  EXPECT_EQ(Cache.evictions(), Inserts + 1 - Cache.size());
+  EXPECT_EQ(Cache.lookup(100, "S"), nullptr); // Oldest: evicted.
+  auto Newest = Cache.lookup(Inserts + 99, "S");
+  ASSERT_NE(Newest, nullptr);
+  EXPECT_EQ(Newest->IntValue, static_cast<int64_t>(Inserts - 1));
+}
+
+TEST(ObservationCache, ByteBoundKeepsOversizedEntries) {
+  ObservationCache Cache;
+  auto bytesObs = [](size_t Size, char Fill) {
+    service::Observation Obs;
+    Obs.Type = service::ObservationType::Binary;
+    Obs.Str.assign(Size, Fill);
+    return Obs;
+  };
+  constexpr size_t MiB = size_t(1) << 20;
+  constexpr size_t Budget =
+      ObservationCache::StripeCount * ObservationCache::BytesPerStripe;
+  // 1 MiB values: 96 MiB inserted, at most 64 MiB retained, and the
+  // entry bound is nowhere near.
+  for (uint64_t K = 1; K <= 96; ++K) {
+    Cache.insert(K, "Programl", bytesObs(MiB, 'a'));
+    EXPECT_LE(Cache.bytes(), Budget);
+  }
+  EXPECT_GT(Cache.evictions(), 0u);
+  EXPECT_LT(Cache.size(), 96u);
+  // An 8 MiB value exceeds a stripe's 4 MiB budget: it is kept as its
+  // stripe's only entry, so it is still retrievable.
+  Cache.insert(1000, "Inst2vec", bytesObs(8 * MiB, 'b'));
+  auto Big = Cache.lookup(1000, "Inst2vec");
+  ASSERT_NE(Big, nullptr);
+  EXPECT_EQ(Big->Str.size(), 8 * MiB);
+  EXPECT_LE(Cache.bytes(), Budget + 8 * MiB);
+  Cache.clear();
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(Cache.bytes(), 0u);
 }
 
 TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
-  ObservationCacheOptions Opts;
-  Opts.NumStripes = 4;
-  Opts.CapacityPerStripe = 32;
-  ObservationCache Cache(Opts);
+  ObservationCache Cache;
   constexpr int NumThreads = 4;
-  constexpr int OpsPerThread = 2000;
+  constexpr int OpsPerThread = 6000;
   std::vector<std::thread> Threads;
   for (int T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&Cache, T] {
-      service::Observation Out;
       for (int I = 0; I < OpsPerThread; ++I) {
-        uint64_t Key = static_cast<uint64_t>((T * 31 + I) % 257 + 1);
-        if (I % 3 == 0)
+        // More distinct keys than the fixed capacity, so stripes also
+        // evict under contention.
+        uint64_t Key = static_cast<uint64_t>((T * 31 + I) % 6007 + 1);
+        if (I % 3 == 0) {
           Cache.insert(Key, "S", intObs(static_cast<int64_t>(Key)));
-        else if (Cache.lookup(Key, "S", Out))
+        } else if (auto Hit = Cache.lookup(Key, "S")) {
           // An entry under key K must carry K's payload, however the
           // interleaving went.
-          EXPECT_EQ(Out.IntValue, static_cast<int64_t>(Key));
+          EXPECT_EQ(Hit->IntValue, static_cast<int64_t>(Key));
+        }
       }
     });
   }
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_LE(Cache.size(), Cache.capacity());
+  EXPECT_LE(Cache.size(), ObservationCache::capacity());
   // Each thread performs one lookup per op where I % 3 != 0.
   constexpr uint64_t LookupsPerThread =
       OpsPerThread - (OpsPerThread + 2) / 3;
