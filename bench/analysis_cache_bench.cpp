@@ -29,6 +29,7 @@
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
 #include "passes/PassManager.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Timer.h"
 
 #include <cstdio>
@@ -174,7 +175,7 @@ int main() {
     auto Base = datasets::generateProgram(77, Style, "m");
     // Reach a fixpoint first so both paths measure pure analysis/setup
     // overhead rather than divergent transform work.
-    (void)passes::runPipelineToFixpoint(*Base, Sequence, 4);
+    (void)passes::PassManager(*Base).runToFixpoint(Sequence, 4);
 
     auto OneShot = Base->clone();
     for (int R = 0; R < Repeats; ++R) {
@@ -192,6 +193,14 @@ int main() {
     auto Stateful = Base->clone();
     passes::PassManager PM(*Stateful);
     PM.setVerifyPreservation(false);
+    telemetry::MetricsRegistry &Reg = telemetry::MetricsRegistry::global();
+    telemetry::Counter &DomHit = Reg.counter(
+        "cg_analysis_lookups_total", {{"kind", "domtree"}, {"outcome", "hit"}});
+    telemetry::Counter &DomCompute =
+        Reg.counter("cg_analysis_lookups_total",
+                    {{"kind", "domtree"}, {"outcome", "compute"}});
+    const uint64_t DomHit0 = DomHit.value();
+    const uint64_t DomCompute0 = DomCompute.value();
     for (int R = 0; R < Repeats; ++R) {
       for (const std::string &Name : Sequence) {
         Stopwatch W;
@@ -203,10 +212,9 @@ int main() {
     latencyRow("one-shot runPass", OneShotStep);
     latencyRow("stateful PassManager", StatefulStep);
     std::printf("analysis cache: domtree hits=%llu computes=%llu\n",
-                static_cast<unsigned long long>(
-                    PM.analysisManager().stats().DomTreeHits),
-                static_cast<unsigned long long>(
-                    PM.analysisManager().stats().DomTreeComputes));
+                static_cast<unsigned long long>(DomHit.value() - DomHit0),
+                static_cast<unsigned long long>(DomCompute.value() -
+                                                DomCompute0));
   }
 
   auto meanOf = [](std::map<std::string, std::vector<double>> &T,

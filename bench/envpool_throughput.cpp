@@ -26,6 +26,7 @@
 #include "core/Registry.h"
 #include "fault/FaultRegistry.h"
 #include "runtime/EnvPool.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Rng.h"
 #include "util/Timer.h"
 
@@ -77,10 +78,26 @@ double singleEnvStepsPerSec(int Episodes) {
 
 struct PoolRun {
   double StepsPerSec = 0.0;
-  size_t EpisodesCompleted = 0;
-  uint64_t Recoveries = 0;
-  uint64_t ShardRestarts = 0;
-  uint64_t CacheHits = 0;
+  uint64_t Episodes = 0;
+  uint64_t EnvRecovered = 0;
+  uint64_t ShardsRestarted = 0;
+  uint64_t ObsCacheHits = 0;
+};
+
+/// The registry series a pool run reports; one run is in flight at a time,
+/// so a diff across the run is that run's count.
+struct PoolCounts {
+  uint64_t Steps, Episodes, EnvRecovered, ShardsRestarted, ObsCacheHits;
+
+  static PoolCounts now() {
+    telemetry::MetricsRegistry &M = telemetry::MetricsRegistry::global();
+    return {M.counter("cg_pool_steps_total").value(),
+            M.counter("cg_pool_episodes_total").value(),
+            M.counter("cg_env_recoveries_total").value(),
+            M.counter("cg_broker_shard_restarts_total").value(),
+            M.counter("cg_obs_cache_events_total", {{"event", "hit"}})
+                .value()};
+  }
 };
 
 /// Aggregate steps/sec of an EnvPool collecting the same workload. With
@@ -98,6 +115,7 @@ PoolRun poolStepsPerSec(size_t Workers, int Episodes, bool Crashy) {
                           .Kind = fault::FaultKind::Crash,
                           .Probability = 1.0 / 40});
   fault::ScopedFaultPlan Armed(Plan);
+  const PoolCounts Before = PoolCounts::now();
   auto Pool = EnvPool::create(Opts);
   if (!Pool.isOk()) {
     std::fprintf(stderr, "pool setup failed: %s\n",
@@ -124,13 +142,13 @@ PoolRun poolStepsPerSec(size_t Workers, int Episodes, bool Crashy) {
     std::fprintf(stderr, "pool run failed: %s\n", S.toString().c_str());
     std::exit(1);
   }
-  PoolStats Stats = (*Pool)->stats();
+  const PoolCounts After = PoolCounts::now();
   PoolRun Out;
-  Out.StepsPerSec = static_cast<double>(Stats.StepsExecuted) / Seconds;
-  Out.EpisodesCompleted = Stats.EpisodesCompleted;
-  Out.Recoveries = Stats.EnvRecoveries;
-  Out.ShardRestarts = Stats.ShardRestarts;
-  Out.CacheHits = Stats.CacheHits;
+  Out.StepsPerSec = static_cast<double>(After.Steps - Before.Steps) / Seconds;
+  Out.Episodes = After.Episodes - Before.Episodes;
+  Out.EnvRecovered = After.EnvRecovered - Before.EnvRecovered;
+  Out.ShardsRestarted = After.ShardsRestarted - Before.ShardsRestarted;
+  Out.ObsCacheHits = After.ObsCacheHits - Before.ObsCacheHits;
   return Out;
 }
 
@@ -150,7 +168,7 @@ int main() {
   const size_t WorkerCounts[] = {2, 4, 8};
   double SpeedupAt2 = 0.0;
   double SpeedupAt8 = 0.0;
-  size_t EpisodesAt8 = 0;
+  uint64_t EpisodesAt8 = 0;
   for (size_t Workers : WorkerCounts) {
     PoolRun Run = poolStepsPerSec(Workers, Episodes, /*Crashy=*/false);
     double Speedup = Run.StepsPerSec / Single;
@@ -158,13 +176,13 @@ int main() {
       SpeedupAt2 = Speedup;
     if (Workers == 8) {
       SpeedupAt8 = Speedup;
-      EpisodesAt8 = Run.EpisodesCompleted;
+      EpisodesAt8 = Run.Episodes;
     }
     char Label[64];
     std::snprintf(Label, sizeof(Label), "pool %zu workers", Workers);
     std::printf("%-34s %10.1f steps/s  (x%.2f)  cache hits=%llu\n", Label,
                 Run.StepsPerSec, Speedup,
-                static_cast<unsigned long long>(Run.CacheHits));
+                static_cast<unsigned long long>(Run.ObsCacheHits));
   }
 
   // Faulted fleet: every shard crashes repeatedly under load.
@@ -172,16 +190,16 @@ int main() {
   std::printf("%-34s %10.1f steps/s  (x%.2f)  recoveries=%llu restarts=%llu\n",
               "pool 8 workers + crash faults", Faulted.StepsPerSec,
               Faulted.StepsPerSec / Single,
-              static_cast<unsigned long long>(Faulted.Recoveries),
-              static_cast<unsigned long long>(Faulted.ShardRestarts));
+              static_cast<unsigned long long>(Faulted.EnvRecovered),
+              static_cast<unsigned long long>(Faulted.ShardsRestarted));
   std::printf("\n");
 
   bench::ShapeChecks Checks;
-  Checks.check(EpisodesAt8 == static_cast<size_t>(Episodes),
+  Checks.check(EpisodesAt8 == static_cast<uint64_t>(Episodes),
                "pool completes every scheduled episode");
-  Checks.check(Faulted.EpisodesCompleted == static_cast<size_t>(Episodes),
+  Checks.check(Faulted.Episodes == static_cast<uint64_t>(Episodes),
                "faulted pool completes every scheduled episode");
-  Checks.check(Faulted.Recoveries + Faulted.ShardRestarts > 0,
+  Checks.check(Faulted.EnvRecovered + Faulted.ShardsRestarted > 0,
                "faulted run actually crashed and recovered");
   if (HwThreads >= 8) {
     Checks.check(SpeedupAt8 >= 4.0,

@@ -18,6 +18,7 @@
 #include "bench/BenchUtils.h"
 
 #include "core/Registry.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Timer.h"
 
 #include <cstdio>
@@ -41,6 +42,9 @@ int main() {
 
   std::vector<double> Bundled, Sequential;
   uint64_t BundledRpcs = 0, SequentialRpcs = 0;
+  // Process-wide; each window below runs one env.
+  telemetry::Counter &Rpcs =
+      telemetry::MetricsRegistry::global().counter("cg_client_rpcs_total");
 
   auto EnvA = core::make("llvm-v0", Opts);
   auto EnvB = core::make("llvm-v0", Opts);
@@ -57,15 +61,15 @@ int main() {
       // isolates the RPC-count difference rather than pass cost.
       int Action = 3;
       {
-        uint64_t Before = (*EnvA)->client().rpcCount();
+        uint64_t Before = Rpcs.value();
         Stopwatch W;
         if (!(*EnvA)->step({Action}, Spaces, Rewards).isOk())
           return 1;
         Bundled.push_back(W.elapsedMs());
-        BundledRpcs += (*EnvA)->client().rpcCount() - Before;
+        BundledRpcs += Rpcs.value() - Before;
       }
       {
-        uint64_t Before = (*EnvB)->client().rpcCount();
+        uint64_t Before = Rpcs.value();
         Stopwatch W;
         if (!(*EnvB)->step(Action).isOk())
           return 1;
@@ -75,7 +79,7 @@ int main() {
         if (!(*EnvB)->rawObservations({Rewards.front()}).isOk())
           return 1;
         Sequential.push_back(W.elapsedMs());
-        SequentialRpcs += (*EnvB)->client().rpcCount() - Before;
+        SequentialRpcs += Rpcs.value() - Before;
       }
     }
   }

@@ -104,7 +104,7 @@ public:
     // Re-parse, replay everything, observe, re-serialize: the O(nm) model.
     auto M = ir::parseModule(Text);
     if (M.isOk()) {
-      (void)passes::runPipeline(**M, History);
+      (void)passes::PassManager(**M).runPipeline(History);
       (void)analysis::autophase(**M);
       int64_t Size = static_cast<int64_t>((*M)->instructionCount());
       LastReward = static_cast<double>(LastSize - Size);

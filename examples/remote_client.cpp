@@ -20,6 +20,7 @@
 #include "core/CompilerEnv.h"
 #include "core/Registry.h"
 #include "net/SocketTransport.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Rng.h"
 
 #include <cstdio>
@@ -89,9 +90,15 @@ int main(int argc, char **argv) {
                 (*Env)->actionSpace().ActionNames[Action].c_str(),
                 Result->Reward, Cumulative);
   }
-  std::printf("episode reward: %+.4f (%llu RPC retries, %llu recoveries)\n",
-              (*Env)->episodeReward(),
-              static_cast<unsigned long long>((*Env)->client().retryCount()),
-              static_cast<unsigned long long>((*Env)->serviceRecoveries()));
+  // This env is the only client in the process, so the process-wide
+  // series are its own counts.
+  telemetry::MetricsRegistry &Metrics = telemetry::MetricsRegistry::global();
+  std::printf(
+      "episode reward: %+.4f (%llu RPC retries, %llu recoveries)\n",
+      (*Env)->episodeReward(),
+      static_cast<unsigned long long>(
+          Metrics.counter("cg_client_retries_total").value()),
+      static_cast<unsigned long long>(
+          Metrics.counter("cg_env_recoveries_total").value()));
   return 0;
 }

@@ -18,8 +18,6 @@ using namespace compiler_gym::ir;
 
 namespace {
 
-/// Process-wide mirrors of the per-cache counters (requests() etc. stay as
-/// the per-instance views).
 telemetry::Counter &featureRequestsTotal() {
   static telemetry::Counter &C = telemetry::MetricsRegistry::global().counter(
       "cg_feature_requests_total", {}, "Module-level feature requests");
@@ -131,7 +129,6 @@ bool FeatureCache::refresh(const Module &M, Kind K) {
       break;
     }
     if (Fresh) {
-      ++FunctionRecomputes;
       featureRecomputesTotal().inc();
       Recomputed = true;
     }
@@ -141,7 +138,6 @@ bool FeatureCache::refresh(const Module &M, Kind K) {
 
 const std::vector<int64_t> &FeatureCache::instCount(const Module &M) {
   CG_TRACE_SPAN("feature:InstCount", "analysis");
-  ++Requests;
   featureRequestsTotal().inc();
   // O(1) fast path: nothing invalidated since the last aggregation and the
   // function set has not changed size. (Every notification path —
@@ -156,7 +152,6 @@ const std::vector<int64_t> &FeatureCache::instCount(const Module &M) {
       accumulateInstCount(InstCountAgg, Funcs.at(F.get()).InstCount);
     finalizeInstCount(InstCountAgg, M);
     InstCountAggValid = true;
-    ++Aggregations;
     featureAggregationsTotal().inc();
   }
   return InstCountAgg;
@@ -164,7 +159,6 @@ const std::vector<int64_t> &FeatureCache::instCount(const Module &M) {
 
 const std::vector<int64_t> &FeatureCache::autophase(const Module &M) {
   CG_TRACE_SPAN("feature:Autophase", "analysis");
-  ++Requests;
   featureRequestsTotal().inc();
   if (AutophaseAggValid && Funcs.size() == M.functions().size())
     return AutophaseAgg;
@@ -174,7 +168,6 @@ const std::vector<int64_t> &FeatureCache::autophase(const Module &M) {
       accumulateAutophase(AutophaseAgg, Funcs.at(F.get()).Autophase);
     finalizeAutophase(AutophaseAgg, M);
     AutophaseAggValid = true;
-    ++Aggregations;
     featureAggregationsTotal().inc();
   }
   return AutophaseAgg;
@@ -182,7 +175,6 @@ const std::vector<int64_t> &FeatureCache::autophase(const Module &M) {
 
 const std::vector<float> &FeatureCache::inst2vec(const Module &M) {
   CG_TRACE_SPAN("feature:Inst2vec", "analysis");
-  ++Requests;
   featureRequestsTotal().inc();
   if (Inst2vecAggValid && Funcs.size() == M.functions().size())
     return Inst2vecAgg;
@@ -258,14 +250,12 @@ const std::vector<float> &FeatureCache::inst2vec(const Module &M) {
     }
   }
   Inst2vecAggValid = true;
-  ++Aggregations;
   featureAggregationsTotal().inc();
   return Inst2vecAgg;
 }
 
 const std::string &FeatureCache::programl(const Module &M) {
   CG_TRACE_SPAN("feature:Programl", "analysis");
-  ++Requests;
   featureRequestsTotal().inc();
   if (ProgramlAggValid && Funcs.size() == M.functions().size())
     return ProgramlAgg;
@@ -276,7 +266,6 @@ const std::string &FeatureCache::programl(const Module &M) {
       Frags.push_back(&Funcs.at(F.get()).Graph);
     ProgramlAgg = assembleGraphFragments(M, Frags);
     ProgramlAggValid = true;
-    ++Aggregations;
     featureAggregationsTotal().inc();
   }
   return ProgramlAgg;

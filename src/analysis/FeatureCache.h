@@ -25,6 +25,9 @@
 /// against function-set changes: aggregation drops entries for functions no
 /// longer in the module and creates dirty entries for new ones. Not
 /// thread-safe; one cache per session, like one module per session.
+/// Requests, per-function recomputes and aggregate rebuilds are counted in
+/// cg_feature_requests_total, cg_feature_recomputes_total and
+/// cg_feature_aggregations_total.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,15 +106,6 @@ public:
   const std::vector<float> *cachedInst2vec(const ir::Function *F) const;
   const GraphFragment *cachedGraphFragment(const ir::Function *F) const;
 
-  // -- Telemetry -----------------------------------------------------------
-  /// Observation requests served.
-  uint64_t requests() const { return Requests; }
-  /// Per-function artifact recomputations (the work invalidation saves).
-  uint64_t functionRecomputes() const { return FunctionRecomputes; }
-  /// Aggregate rebuilds (cheap sums/concats; counted separately from
-  /// scans).
-  uint64_t aggregations() const { return Aggregations; }
-
 private:
   enum class Kind { InstCount, Autophase, Inst2vec, Programl };
 
@@ -148,10 +142,6 @@ private:
   bool AutophaseAggValid = false;
   bool Inst2vecAggValid = false;
   bool ProgramlAggValid = false;
-
-  uint64_t Requests = 0;
-  uint64_t FunctionRecomputes = 0;
-  uint64_t Aggregations = 0;
 };
 
 } // namespace analysis

@@ -37,7 +37,7 @@ telemetry::Counter &replayedActionsTotal() {
   return C;
 }
 
-telemetry::Counter &deltaRepliesReceivedTotal() {
+telemetry::Counter &deltaRepliesTotal() {
   static telemetry::Counter &C = telemetry::MetricsRegistry::global().counter(
       "cg_env_delta_replies_total", {},
       "Observation replies received as deltas and reconstructed");
@@ -223,7 +223,6 @@ CompilerEnv::planStep(const std::vector<std::string> &ObsSpaces,
 
 Status CompilerEnv::recover() {
   CG_TRACE_SPAN("env.recover", "core");
-  Recoveries.fetch_add(1, std::memory_order_relaxed);
   recoveriesTotal().inc();
   CG_LOG_INFO_FOR("env", SessionId)
       << "backend failure detected; restarting service (snapshot key "
@@ -319,8 +318,7 @@ Status CompilerEnv::settleWireObservations(StepReply &Reply) {
     CG_ASSIGN_OR_RETURN(Observation Full,
                         applyObservationDelta(It->second, Obs));
     Obs = std::move(Full);
-    ++DeltaReplies;
-    deltaRepliesReceivedTotal().inc();
+    deltaRepliesTotal().inc();
   }
   // Phase 2: retain the new full values as bases for the next request.
   for (size_t I = 0; I < N; ++I) {
@@ -505,7 +503,6 @@ StatusOr<Observation> CompilerEnv::reset() {
   for (int Round = 0; !Started.isOk() && Round < 4; ++Round) {
     if (!isRecoverableFailure(Started))
       return Started;
-    Recoveries.fetch_add(1, std::memory_order_relaxed);
     recoveriesTotal().inc();
     if (Service && (!SharedService || Service->crashed()))
       Client->restartService();

@@ -28,7 +28,6 @@
 #include "core/Space.h"
 #include "service/ServiceClient.h"
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -151,16 +150,7 @@ public:
   /// env.write_bitcode() in Listing 1.
   Status writeIr(const std::string &Path);
 
-  /// Fault-tolerance telemetry. Relaxed atomic: recoveries happen on
-  /// pool worker threads while EnvPool::stats() reads from the caller.
-  uint64_t serviceRecoveries() const {
-    return Recoveries.load(std::memory_order_relaxed);
-  }
   service::ServiceClient &client() { return *Client; }
-
-  /// Wire-delta telemetry: observation replies that arrived as deltas and
-  /// were reconstructed against a retained base.
-  uint64_t deltaRepliesReceived() const { return DeltaReplies; }
 
 private:
   CompilerEnv(CompilerEnvOptions Opts,
@@ -239,7 +229,6 @@ private:
   /// Bumped on reset and every state-changing step; the views key their
   /// caches on it.
   uint64_t Epoch = 0;
-  std::atomic<uint64_t> Recoveries{0};
   bool SharedService = false; ///< attach()-ed to a broker shard.
   std::string PendingBenchmarkUri; ///< Applied by the next reset().
   std::vector<service::Action> DirectHistory; ///< For replay (direct space).
@@ -254,7 +243,6 @@ private:
   /// valid across fork(), reset() to the same benchmark, and
   /// crash-recovery replay.
   std::unordered_map<std::string, service::Observation> WireBases;
-  uint64_t DeltaReplies = 0;
 };
 
 } // namespace core

@@ -29,20 +29,15 @@ std::string EnvState::serialize() const {
 
 StatusOr<EnvState> EnvState::deserialize(const std::string &Line) {
   std::vector<std::string> Fields = splitString(Line, '|');
-  // 6 fields since the views API; 5-field lines predate the
-  // observation-space field and parse with it empty.
-  if (Fields.size() != 5 && Fields.size() != 6)
-    return invalidArgument("malformed EnvState line (need 5 or 6 '|' fields)");
-  bool Legacy = Fields.size() == 5;
+  if (Fields.size() != 6)
+    return invalidArgument("malformed EnvState line (need 6 '|' fields)");
   EnvState Out;
   Out.EnvId = Fields[0];
   Out.BenchmarkUri = Fields[1];
   Out.RewardSpace = Fields[2];
-  if (!Legacy)
-    Out.ObservationSpace = Fields[3];
-  const std::string &Reward = Fields[Legacy ? 3 : 4];
-  Out.CumulativeReward = std::strtod(Reward.c_str(), nullptr);
-  const std::string &Acts = Fields[Legacy ? 4 : 5];
+  Out.ObservationSpace = Fields[3];
+  Out.CumulativeReward = std::strtod(Fields[4].c_str(), nullptr);
+  const std::string &Acts = Fields[5];
   if (!Acts.empty()) {
     for (const std::string &Tok : splitString(Acts, ',')) {
       char *End = nullptr;

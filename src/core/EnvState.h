@@ -33,8 +33,7 @@ struct EnvState {
   double CumulativeReward = 0.0;
 
   /// Single-line text form:
-  /// "envId|benchmark|reward-space|obs-space|r|a0,a1,...". Lines from
-  /// before the observation-space field (5 fields) still deserialize.
+  /// "envId|benchmark|reward-space|obs-space|r|a0,a1,...".
   std::string serialize() const;
   static StatusOr<EnvState> deserialize(const std::string &Line);
 

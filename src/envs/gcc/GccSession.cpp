@@ -141,11 +141,9 @@ Status GccSession::recompileIfNeeded() {
       return internalError("gcc option spec references unknown pass '" +
                            Name + "'");
 
-  CG_ASSIGN_OR_RETURN(
-      bool Changed,
-      passes::runPipelineToFixpoint(*Compiled, Pipeline,
-                                    std::max(1, Plan.PipelineRounds)));
-  (void)Changed;
+  passes::PassManager PM(*Compiled);
+  CG_RETURN_IF_ERROR(
+      PM.runToFixpoint(Pipeline, std::max(1, Plan.PipelineRounds)).status());
   Dirty = false;
   return Status::ok();
 }

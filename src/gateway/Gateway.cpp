@@ -146,8 +146,6 @@ struct TenantState {
   // Guarded by Impl::SessionsM.
   size_t LiveSessions = 0;
 
-  std::atomic<uint64_t> Dispatched{0};
-
   /// Takes one token; false = rejected, with the refill wait in
   /// \p RetryAfterMs.
   bool allow(uint32_t &RetryAfterMs) {
@@ -247,10 +245,6 @@ struct Gateway::Impl {
 
   mutable std::mutex ShardsM;
   std::vector<std::unique_ptr<ShardState>> Queues;
-
-  std::atomic<uint64_t> Restores{0};
-  std::atomic<uint64_t> Migrations{0};
-  std::atomic<uint64_t> Shed{0};
 
   /// Created last, torn down first: while it lives, onRequest may fire.
   std::unique_ptr<net::NetServer> Server;
@@ -639,7 +633,6 @@ struct Gateway::Impl {
     if (!Expired && (Ewma == 0 || RemainingUs >= Ewma))
       return false;
     telemetry::SpanScope Span("gateway.shed", "gateway");
-    Shed.fetch_add(1, std::memory_order_relaxed);
     shedExpiredTotal().inc();
     if (J.HoldsAdmission)
       releaseAdmission(J.Tenant);
@@ -725,7 +718,6 @@ struct Gateway::Impl {
   }
 
   void processJob(Job &J) {
-    J.Tenant->Dispatched.fetch_add(1, std::memory_order_relaxed);
     J.Tenant->DispatchedCtr->inc();
     switch (J.Env.Kind) {
     case RequestKind::StartSession:
@@ -791,7 +783,6 @@ struct Gateway::Impl {
     // stepped — its initial state *is* the recorded state.
     if (Reply->Start.Restored || Entry.LastStateKey == 0) {
       Entry.BackendId = Reply->Start.SessionId;
-      Restores.fetch_add(1, std::memory_order_relaxed);
       restoresTotal().inc();
       CG_LOG_INFO_FOR("gateway", Entry.GwId)
           << "restored backend session at state " << Entry.LastStateKey;
@@ -969,7 +960,6 @@ struct Gateway::Impl {
       Entry.Shard.store(Target, std::memory_order_relaxed);
       Entry.BackendId = Reply->Start.SessionId;
       ++Moved;
-      Migrations.fetch_add(1, std::memory_order_relaxed);
       migrationsTotal().inc();
       CG_LOG_INFO_FOR("gateway", Entry.GwId)
           << "migrated session from shard " << Index << " to " << Target;
@@ -1034,25 +1024,6 @@ size_t Gateway::addShard() { return I->addShard(); }
 size_t Gateway::drainShard(size_t Index) { return I->drainShard(Index); }
 
 void Gateway::undrainShard(size_t Index) { I->undrainShard(Index); }
-
-uint64_t Gateway::dispatchedFor(const std::string &TenantName) const {
-  for (auto &T : I->Tenants)
-    if (T->Cfg.Name == TenantName)
-      return T->Dispatched.load(std::memory_order_relaxed);
-  return 0;
-}
-
-uint64_t Gateway::restores() const {
-  return I->Restores.load(std::memory_order_relaxed);
-}
-
-uint64_t Gateway::shedExpired() const {
-  return I->Shed.load(std::memory_order_relaxed);
-}
-
-uint64_t Gateway::migrations() const {
-  return I->Migrations.load(std::memory_order_relaxed);
-}
 
 size_t Gateway::queuedTotal() const {
   std::lock_guard<std::mutex> Lock(I->ShardsM);

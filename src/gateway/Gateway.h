@@ -133,15 +133,6 @@ public:
   void undrainShard(size_t Index);
 
   // -- Introspection / test hooks --------------------------------------------
-  /// Ops dispatched to backends on behalf of \p TenantName.
-  uint64_t dispatchedFor(const std::string &TenantName) const;
-  /// Transparent snapshot restores performed after backend session loss.
-  uint64_t restores() const;
-  /// Queued ops shed at dequeue time for exhausted/insufficient deadline
-  /// budget.
-  uint64_t shedExpired() const;
-  /// Sessions moved by drainShard().
-  uint64_t migrations() const;
   /// Ops sitting in dispatch queues right now, across all shards.
   size_t queuedTotal() const;
   /// Freezes / resumes every shard dispatcher (ops queue but are not

@@ -102,11 +102,6 @@ SocketTransport::dial(const std::string &Spec, SocketTransportOptions Opts) {
   return std::make_shared<SocketTransport>(std::move(Addr), Opts);
 }
 
-uint64_t SocketTransport::connectCount() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Connects;
-}
-
 Status SocketTransport::ensureConnected(int DeadlineMs) {
   if (Conn.valid())
     return Status::ok();
@@ -139,14 +134,13 @@ Status SocketTransport::ensureConnected(int DeadlineMs) {
         Socket::connect(Addr, std::min(Remaining, Opts.ConnectTimeoutMs));
     if (Dialed.isOk()) {
       Conn = std::move(*Dialed);
-      ++Connects;
       connectsTotal().inc();
       FailedDials = 0;
       return Status::ok();
     }
     ++FailedDials;
     connectFailuresTotal().inc();
-    CG_LOG_INFO_FOR("net", Connects)
+    CG_LOG_INFO_FOR("net", FailedDials)
         << "dial " << Addr.str() << " failed (attempt " << FailedDials
         << "): " << Dialed.status().message();
   }

@@ -60,10 +60,6 @@ public:
   StatusOr<std::string> roundTrip(const std::string &RequestBytes,
                                   int TimeoutMs) override;
 
-  /// Connections established over this transport's lifetime (1 = never
-  /// lost the link; tests assert reconnects happened).
-  uint64_t connectCount() const;
-
 private:
   /// Ensures Conn is a live connection, honoring backoff between redials
   /// and the caller's remaining deadline budget. Caller holds Mutex.
@@ -76,10 +72,9 @@ private:
 
   NetAddress Addr;
   SocketTransportOptions Opts;
-  mutable std::mutex Mutex;
+  std::mutex Mutex;
   Socket Conn;
   Rng Jitter;
-  uint64_t Connects = 0;
   int FailedDials = 0; ///< Consecutive; resets on success.
 };
 

@@ -17,8 +17,7 @@ using namespace compiler_gym::ir;
 
 namespace {
 
-/// Process-wide mirrors of the per-manager Stats, labeled by analysis
-/// kind and lookup outcome.
+/// Lookups across every manager, labeled by analysis kind and outcome.
 telemetry::Counter &analysisLookup(const char *Kind, bool Hit) {
   static telemetry::MetricsRegistry &M = telemetry::MetricsRegistry::global();
   static const char *Help = "Analysis cache lookups by kind and outcome";
@@ -67,11 +66,9 @@ telemetry::Counter &domTreeUpdates(bool Incremental) {
 const DominatorTree &AnalysisManager::domTree(const Function &F) {
   Entry &E = Cache[&F];
   if (E.DT) {
-    ++S.DomTreeHits;
     analysisLookup("domtree", true).inc();
   } else {
     E.DT = std::make_unique<DominatorTree>(F);
-    ++S.DomTreeComputes;
     analysisLookup("domtree", false).inc();
     domTreeUpdates(false).inc();
   }
@@ -82,12 +79,10 @@ const std::vector<NaturalLoop> &AnalysisManager::loops(const Function &F) {
   const DominatorTree &DT = domTree(F);
   Entry &E = Cache[&F];
   if (E.Loops) {
-    ++S.LoopHits;
     analysisLookup("loops", true).inc();
   } else {
     E.Loops =
         std::make_unique<std::vector<NaturalLoop>>(findNaturalLoops(F, DT));
-    ++S.LoopComputes;
     analysisLookup("loops", false).inc();
   }
   return *E.Loops;

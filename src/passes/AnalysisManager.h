@@ -30,6 +30,8 @@
 /// recomputed from scratch and compared, so a pass that lies about
 /// preservation is caught at the point of the lie.
 ///
+/// Cache lookups are counted in cg_analysis_lookups_total{kind,outcome}.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPILER_GYM_PASSES_ANALYSISMANAGER_H
@@ -217,15 +219,6 @@ public:
   /// should stop.
   bool cancellationRequested() const { return Cancel && Cancel->poll(); }
 
-  // -- Telemetry -----------------------------------------------------------
-  struct Stats {
-    uint64_t DomTreeHits = 0;
-    uint64_t DomTreeComputes = 0;
-    uint64_t LoopHits = 0;
-    uint64_t LoopComputes = 0;
-  };
-  const Stats &stats() const { return S; }
-
 private:
   struct Entry {
     std::unique_ptr<ir::DominatorTree> DT;
@@ -238,7 +231,6 @@ private:
   std::unordered_map<const ir::Function *, Entry> CowStash;
   analysis::FeatureCache Features;
   const util::CancelToken *Cancel = nullptr;
-  Stats S;
 };
 
 } // namespace passes

@@ -432,11 +432,12 @@ private:
     }
 
     // Rewire the world outside the loop:
-    //  * uses of B's phis become the final phi values;
+    //  * uses of B's phis become the phi values of the last iteration (the
+    //    one that exits), not the values its latch would have carried on;
     //  * uses of B's body instructions become the last copy's clones;
     //  * Exit's phis see the last copy as predecessor instead of B.
     for (Instruction *Phi : Phis)
-      F.replaceAllUsesWith(Phi, PhiVal.at(Phi));
+      F.replaceAllUsesWith(Phi, LastMap.at(Phi));
     for (size_t I = B->firstNonPhi(); I + 1 < B->size(); ++I) {
       Instruction *Inst = B->instructions()[I].get();
       auto It = LastMap.find(Inst);

@@ -63,7 +63,6 @@ StatusOr<bool> PassManager::run(Pass &P) {
                                 : std::string(),
                             "passes");
   PassResult R = P.run(M, AM);
-  ++St.PassesRun;
   passesRunTotal().inc();
   // Module-scoped passes that did not report fine-grained invalidation
   // themselves get their PreservedAnalyses applied module-wide, so a pass
@@ -112,21 +111,4 @@ PassManager::runToFixpoint(const std::vector<std::string> &Names,
 StatusOr<bool> passes::runPass(ir::Module &M, const std::string &Name) {
   PassManager PM(M);
   return PM.run(Name);
-}
-
-StatusOr<bool> passes::runPipeline(ir::Module &M,
-                                   const std::vector<std::string> &Names) {
-  PassManager PM(M);
-  return PM.runPipeline(Names);
-}
-
-StatusOr<bool>
-passes::runPipelineToFixpoint(ir::Module &M,
-                              const std::vector<std::string> &Names,
-                              int MaxRounds) {
-  // One transient manager for the whole fixpoint iteration: pass objects
-  // are constructed once and analyses persist across rounds (the old
-  // implementation re-created every pass through the registry each round).
-  PassManager PM(M);
-  return PM.runToFixpoint(Names, MaxRounds);
 }

@@ -13,9 +13,9 @@
 /// single pass) and the preset pipelines (-Oz/-O3 baselines the paper
 /// scales rewards against).
 ///
-/// The free runPass/runPipeline/runPipelineToFixpoint functions remain as
-/// thin wrappers over a transient PassManager for one-shot callers
-/// (autotuners, validation, tests).
+/// Multi-pass callers construct a PassManager, so pass instances and
+/// analyses carry across the pipeline; the free runPass() wraps a
+/// transient one for single-pass callers (autotuners, validation, tests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,7 +78,6 @@ public:
 
   // -- Telemetry -----------------------------------------------------------
   struct Stats {
-    uint64_t PassesRun = 0;
     uint64_t PassInstancesCreated = 0; ///< Registry factory invocations.
   };
   const Stats &stats() const { return St; }
@@ -98,15 +97,6 @@ private:
 /// Runs a single pass by name. Returns whether the module changed, or
 /// NotFound for unknown pass names.
 StatusOr<bool> runPass(ir::Module &M, const std::string &Name);
-
-/// Runs \p Names in order; returns true if any pass changed the module.
-StatusOr<bool> runPipeline(ir::Module &M,
-                           const std::vector<std::string> &Names);
-
-/// Runs \p Names repeatedly (at most \p MaxRounds rounds) until a fixpoint.
-StatusOr<bool> runPipelineToFixpoint(ir::Module &M,
-                                     const std::vector<std::string> &Names,
-                                     int MaxRounds = 4);
 
 } // namespace passes
 } // namespace compiler_gym

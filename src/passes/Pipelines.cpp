@@ -83,8 +83,6 @@ Status passes::runOptimizationLevel(ir::Module &M, const std::string &Level) {
                       pipelineForLevel(Level));
   if (Pipeline.empty())
     return Status::ok();
-  CG_ASSIGN_OR_RETURN(bool Changed,
-                      runPipelineToFixpoint(M, Pipeline, /*MaxRounds=*/3));
-  (void)Changed;
-  return Status::ok();
+  PassManager PM(M);
+  return PM.runToFixpoint(Pipeline, /*MaxRounds=*/3).status();
 }

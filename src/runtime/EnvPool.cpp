@@ -204,8 +204,6 @@ EnvPool::stepBatch(const std::vector<std::vector<int>> &Actions,
   if (!S.isOk())
     return S;
   stepsTotal().inc(Steps);
-  std::lock_guard<std::mutex> Lock(StatsMutex);
-  Aggregate.StepsExecuted += Steps;
   return Out;
 }
 
@@ -225,8 +223,6 @@ Status EnvPool::collect(size_t Episodes, const EpisodeFn &Fn) {
       episodesTotal().inc();
       stepsTotal().inc(Envs[W]->episodeLength());
       std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += Envs[W]->episodeLength();
       Aggregate.EpisodeReward.add(Envs[W]->episodeReward());
     }
   });
@@ -252,8 +248,6 @@ StatusOr<std::vector<double>> EnvPool::evaluateSequences(
       episodesTotal().inc();
       stepsTotal().inc(Candidates[I].size());
       std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += Candidates[I].size();
       Aggregate.EpisodeReward.add(Rewards[I]);
     }
   });
@@ -281,8 +275,6 @@ StatusOr<std::vector<double>> EnvPool::evaluateDirect(
       episodesTotal().inc();
       stepsTotal().inc();
       std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += 1;
       Aggregate.EpisodeReward.add(Rewards[I]);
     }
   });
@@ -334,8 +326,6 @@ StatusOr<std::vector<double>> EnvPool::evaluateContinuations(
       episodesTotal().inc();
       stepsTotal().inc(Candidates[I].size());
       std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodesCompleted += 1;
-      Aggregate.StepsExecuted += Candidates[I].size();
       Aggregate.EpisodeReward.add(Reward);
     }
   });
@@ -345,15 +335,6 @@ StatusOr<std::vector<double>> EnvPool::evaluateContinuations(
 }
 
 PoolStats EnvPool::stats() const {
-  PoolStats Out;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Out = Aggregate;
-  }
-  for (const std::unique_ptr<core::CompilerEnv> &E : Envs)
-    Out.EnvRecoveries += E->serviceRecoveries();
-  Out.ShardRestarts = Broker->shardRestarts();
-  Out.CacheHits = Broker->observationCache().hits();
-  Out.CacheMisses = Broker->observationCache().misses();
-  return Out;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  return Aggregate;
 }

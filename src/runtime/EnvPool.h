@@ -13,8 +13,8 @@
 /// fan-out from the initial state, and evaluateContinuations() for
 /// candidate fan-out from a shared mid-episode prefix (O(1) snapshot
 /// forks instead of per-candidate reset+replay). Benchmark lists are
-/// sharded across workers via DatasetRegistry, and per-worker statistics
-/// aggregate into PoolStats. Crash recovery is inherited from the env
+/// sharded across workers via DatasetRegistry, and per-worker episode
+/// rewards aggregate into PoolStats. Crash recovery is inherited from the env
 /// layer: a worker whose shard dies restores its last snapshot (or
 /// replays its episode) on the restarted shard, so a pool run loses no
 /// episodes to injected (or real) compiler faults.
@@ -53,14 +53,11 @@ struct EnvPoolOptions {
   size_t MaxDatasetBenchmarks = 64; ///< Cap when expanding DatasetUri.
 };
 
-/// Aggregated cross-worker statistics.
+/// Aggregated cross-worker statistics. Event counts (episodes, steps,
+/// recoveries, shard restarts, cache hits) are registry series:
+/// cg_pool_episodes_total, cg_pool_steps_total, cg_env_recoveries_total,
+/// cg_broker_shard_restarts_total and cg_obs_cache_events_total.
 struct PoolStats {
-  size_t EpisodesCompleted = 0;
-  size_t StepsExecuted = 0;
-  uint64_t EnvRecoveries = 0; ///< Env-level restart+replay recoveries.
-  uint64_t ShardRestarts = 0; ///< Broker monitor restarts.
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
   RunningStat EpisodeReward;
 };
 
@@ -160,9 +157,7 @@ public:
       const std::vector<std::vector<int>> &Candidates);
 
   /// Aggregated statistics snapshot. Safe to call concurrently with batch
-  /// operations: the per-env recovery counters are relaxed atomics, so a
-  /// mid-batch snapshot is race-free but may lag the still-running
-  /// episodes' episode/step aggregates.
+  /// operations; a mid-batch snapshot lags the still-running episodes.
   PoolStats stats() const;
 
 private:

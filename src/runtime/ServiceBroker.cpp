@@ -184,14 +184,10 @@ size_t ServiceBroker::checkShards() {
     Crashed[I]->restart();
     ++Restarted;
   }
-  if (Restarted) {
-    Restarts.fetch_add(Restarted, std::memory_order_relaxed);
+  if (Restarted)
     shardRestartsTotal().inc(Restarted);
-  }
-  if (Hung) {
-    HungRestarts.fetch_add(Hung, std::memory_order_relaxed);
+  if (Hung)
     hungRestartsTotal().inc(Hung);
-  }
   return Restarted + Hung;
 }
 

@@ -92,8 +92,8 @@ public:
   void releaseShard(size_t Index);
 
   /// A dedicated client over shard \p Index's shared transport. Each env
-  /// gets its own client so retry policy and telemetry stay per-env while
-  /// the transport and service are shared.
+  /// gets its own client so retry policy and backoff jitter stay per-env
+  /// while the transport and service are shared.
   std::shared_ptr<service::ServiceClient> makeClient(size_t Index);
 
   std::shared_ptr<service::CompilerService> shardService(size_t Index);
@@ -106,17 +106,6 @@ public:
   /// Called periodically by the monitor thread; callable from tests.
   /// Returns the number of shards restarted (both kinds).
   size_t checkShards();
-
-  /// Crash restarts performed by the broker (monitor + sweeps); hung-shard
-  /// force-restarts are counted separately in hungRestarts().
-  uint64_t shardRestarts() const {
-    return Restarts.load(std::memory_order_relaxed);
-  }
-
-  /// Wedged shards force-restarted by the watchdog.
-  uint64_t hungRestarts() const {
-    return HungRestarts.load(std::memory_order_relaxed);
-  }
 
   /// The observation cache every shard's service shares.
   service::ObservationCache &observationCache() { return *ObsCache; }
@@ -148,8 +137,6 @@ private:
       Graveyard;
   std::shared_ptr<service::ObservationCache> ObsCache =
       std::make_shared<service::ObservationCache>();
-  std::atomic<uint64_t> Restarts{0};
-  std::atomic<uint64_t> HungRestarts{0};
 
   std::mutex MonitorMutex;
   std::condition_variable MonitorWake;

@@ -15,9 +15,8 @@ using namespace compiler_gym::service;
 
 namespace {
 
-// Process-wide mirrors of the per-instance counters: every service owns a
-// cache (a broker's shards share one), so the registry series aggregates
-// across all of them.
+// Process-wide: every service owns a cache (a broker's shards share one),
+// so each series aggregates across all of them.
 telemetry::Counter &cacheEvent(const char *Kind) {
   static telemetry::MetricsRegistry &M = telemetry::MetricsRegistry::global();
   static const char *Help = "Observation cache events";
@@ -48,12 +47,10 @@ ObservationCache::lookup(uint64_t StateKey, const std::string &SpaceName) {
   std::lock_guard<std::mutex> Lock(S.Mutex);
   auto It = S.Map.find(Key);
   if (It == S.Map.end()) {
-    Misses.fetch_add(1, std::memory_order_relaxed);
     cacheEvent("miss").inc();
     return nullptr;
   }
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // Promote to MRU.
-  Hits.fetch_add(1, std::memory_order_relaxed);
   cacheEvent("hit").inc();
   return It->second->Obs;
 }
@@ -80,7 +77,6 @@ ObservationCache::insert(uint64_t StateKey, const std::string &SpaceName,
     S.Bytes -= S.Lru.back().Bytes;
     S.Map.erase(S.Lru.back().Key);
     S.Lru.pop_back();
-    Evictions.fetch_add(1, std::memory_order_relaxed);
     cacheEvent("eviction").inc();
   }
   return Stored;

@@ -22,7 +22,8 @@
 /// at most EntriesPerStripe entries and BytesPerStripe bytes counted with
 /// observationWireSize(); an entry larger than a stripe's budget is kept
 /// as that stripe's only entry. The cache outlives
-/// CompilerService::restart(), as the snapshot store does.
+/// CompilerService::restart(), as the snapshot store does. Hits, misses
+/// and evictions are counted in cg_obs_cache_events_total{event}.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +33,6 @@
 #include "service/Message.h"
 
 #include <array>
-#include <atomic>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -59,13 +59,6 @@ public:
                                             const std::string &SpaceName,
                                             Observation Obs);
 
-  /// Telemetry (relaxed counters; exact totals once traffic quiesces).
-  uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
-  uint64_t evictions() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
-
   /// Entries and observationWireSize() bytes across all stripes (takes
   /// every stripe lock).
   size_t size() const;
@@ -91,9 +84,6 @@ private:
   Stripe &stripeFor(uint64_t Key) { return Stripes[Key % StripeCount]; }
 
   std::array<Stripe, StripeCount> Stripes;
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> Evictions{0};
 };
 
 } // namespace service

@@ -133,7 +133,6 @@ void ServiceClient::restartService() {
   // end is the server fleet's job and this degrades to a no-op.
   if (!Service)
     return;
-  ++RestartCount;
   restartsTotal().inc();
   Service->restart();
 }
@@ -222,7 +221,6 @@ StatusOr<ReplyEnvelope> ServiceClient::callAttempts(RequestEnvelope &Req) {
         BudgetExhausted = true;
         break;
       }
-      ++RetryCount;
       retriesTotal().inc();
       std::this_thread::sleep_for(std::chrono::milliseconds(DelayMs));
       RetryAfterHintMs = 0;
@@ -240,22 +238,15 @@ StatusOr<ReplyEnvelope> ServiceClient::callAttempts(RequestEnvelope &Req) {
     }
     std::string Bytes = encodeRequest(Req);
     Attempted = true;
-    ++RpcCount;
     rpcAttemptsTotal().inc();
-    WireBytesSent += Bytes.size();
     wireBytes(true).inc(Bytes.size());
     StatusOr<std::string> ReplyBytes = roundTrip(Bytes, AttemptTimeoutMs);
-    if (ReplyBytes.isOk()) {
-      WireBytesReceived += ReplyBytes->size();
-      wireBytes(false).inc(ReplyBytes->size());
-    }
     if (!ReplyBytes.isOk()) {
       LastError = ReplyBytes.status();
       // Unavailable and dropped replies are transient; hangs surface as
       // DeadlineExceeded which we also retry (the request may simply have
       // been slow) before giving up.
       if (LastError.code() == StatusCode::Unavailable) {
-        ++ReconnectCount;
         reconnectsTotal().inc();
         continue;
       }
@@ -263,6 +254,7 @@ StatusOr<ReplyEnvelope> ServiceClient::callAttempts(RequestEnvelope &Req) {
         continue;
       return LastError;
     }
+    wireBytes(false).inc(ReplyBytes->size());
     StatusOr<ReplyEnvelope> Reply = decodeReply(*ReplyBytes);
     if (!Reply.isOk()) {
       // Garbled reply: a transport fault; retry.

@@ -75,21 +75,6 @@ public:
   /// No-op on remote channels (null service handle).
   void restartService();
 
-  /// Per-client telemetry for the robustness tests and Table II
-  /// accounting. Thin shims: the same events also feed the process-wide
-  /// telemetry::MetricsRegistry (cg_client_* / cg_wire_bytes_total).
-  uint64_t rpcCount() const { return RpcCount; }
-  uint64_t retryCount() const { return RetryCount; }
-  uint64_t restartCount() const { return RestartCount; }
-  /// Retries that followed a channel-loss (Unavailable) failure — the
-  /// reconnect-shaped subset of retryCount().
-  uint64_t reconnectCount() const { return ReconnectCount; }
-  /// Serialized request/reply bytes through this client (wire accounting
-  /// for the observation-delta benches: a delta reply shows up directly
-  /// as fewer bytes received).
-  uint64_t wireBytesSent() const { return WireBytesSent; }
-  uint64_t wireBytesReceived() const { return WireBytesReceived; }
-
   const std::shared_ptr<CompilerService> &service() const { return Service; }
 
 private:
@@ -112,12 +97,6 @@ private:
   std::shared_ptr<Transport> Channel;
   ClientOptions Opts;
   Rng BackoffJitter{0xBACC0FF};
-  uint64_t RpcCount = 0;
-  uint64_t RetryCount = 0;
-  uint64_t RestartCount = 0;
-  uint64_t ReconnectCount = 0;
-  uint64_t WireBytesSent = 0;
-  uint64_t WireBytesReceived = 0;
 };
 
 } // namespace service

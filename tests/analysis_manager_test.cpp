@@ -29,6 +29,7 @@
 #include "passes/Utils.h"
 #include "passes/PassRegistry.h"
 #include "service/Serialization.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Rng.h"
 
 #include <gtest/gtest.h>
@@ -46,6 +47,18 @@ std::unique_ptr<Module> parse(const std::string &Text) {
   auto M = parseModule(Text);
   EXPECT_TRUE(M.isOk()) << M.status().toString();
   return M.isOk() ? M.takeValue() : nullptr;
+}
+
+/// Process-wide series; tests diff them across a window that runs one
+/// manager, cache or session.
+telemetry::Counter &series(const std::string &Name,
+                           const telemetry::Labels &L = {}) {
+  return telemetry::MetricsRegistry::global().counter(Name, L);
+}
+
+telemetry::Counter &lookups(const char *Kind, const char *Outcome) {
+  return series("cg_analysis_lookups_total",
+                {{"kind", Kind}, {"outcome", Outcome}});
 }
 
 const char *TwoFunctionModule = R"(module "t"
@@ -92,18 +105,26 @@ TEST(PreservedAnalyses, MaskSemantics) {
 }
 
 TEST(AnalysisManager, CachesDomTreeAndLoops) {
+  telemetry::Counter &DomCompute = lookups("domtree", "compute");
+  telemetry::Counter &DomHit = lookups("domtree", "hit");
+  telemetry::Counter &LoopCompute = lookups("loops", "compute");
+  telemetry::Counter &LoopHit = lookups("loops", "hit");
+  const uint64_t DomCompute0 = DomCompute.value();
+  const uint64_t DomHit0 = DomHit.value();
+  const uint64_t LoopCompute0 = LoopCompute.value();
+  const uint64_t LoopHit0 = LoopHit.value();
   auto M = parse(TwoFunctionModule);
   Function *F = M->findFunction("main");
   AnalysisManager AM;
   const DominatorTree &DT1 = AM.domTree(*F);
   const DominatorTree &DT2 = AM.domTree(*F);
   EXPECT_EQ(&DT1, &DT2);
-  EXPECT_EQ(AM.stats().DomTreeComputes, 1u);
-  EXPECT_EQ(AM.stats().DomTreeHits, 1u);
+  EXPECT_EQ(DomCompute.value() - DomCompute0, 1u);
+  EXPECT_EQ(DomHit.value() - DomHit0, 1u);
   (void)AM.loops(*F);
   (void)AM.loops(*F);
-  EXPECT_EQ(AM.stats().LoopComputes, 1u);
-  EXPECT_EQ(AM.stats().LoopHits, 1u);
+  EXPECT_EQ(LoopCompute.value() - LoopCompute0, 1u);
+  EXPECT_EQ(LoopHit.value() - LoopHit0, 1u);
 
   // Feature-only invalidation keeps CFG analyses warm.
   AM.invalidate(*F, PreservedAnalyses::cfg());
@@ -114,27 +135,29 @@ TEST(AnalysisManager, CachesDomTreeAndLoops) {
   EXPECT_FALSE(AM.isCached(*F, AK_DomTree));
   EXPECT_FALSE(AM.isCached(*F, AK_Loops));
   (void)AM.domTree(*F);
-  EXPECT_EQ(AM.stats().DomTreeComputes, 2u);
+  EXPECT_EQ(DomCompute.value() - DomCompute0, 2u);
 }
 
 TEST(FeatureCache, MatchesFromScratchAndRecountsOnlyDirty) {
+  telemetry::Counter &Recomputes = series("cg_feature_recomputes_total");
+  const uint64_t Before = Recomputes.value();
   auto M = parse(TwoFunctionModule);
   analysis::FeatureCache Cache;
   EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
   EXPECT_EQ(Cache.autophase(*M), analysis::autophase(*M));
-  uint64_t AfterCold = Cache.functionRecomputes();
+  uint64_t AfterCold = Recomputes.value() - Before;
   EXPECT_EQ(AfterCold, 4u); // 2 functions x 2 feature kinds.
 
   // Unchanged module: pure cache hits.
   EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold);
+  EXPECT_EQ(Recomputes.value() - Before, AfterCold);
 
   // Dirty one function: exactly one per-kind recount.
   Cache.invalidateFunction(M->findFunction("main"));
   EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold + 1);
+  EXPECT_EQ(Recomputes.value() - Before, AfterCold + 1);
   EXPECT_EQ(Cache.autophase(*M), analysis::autophase(*M));
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold + 2);
+  EXPECT_EQ(Recomputes.value() - Before, AfterCold + 2);
 }
 
 TEST(FeatureCache, SelfHealsOnFunctionSetChanges) {
@@ -149,13 +172,15 @@ TEST(FeatureCache, SelfHealsOnFunctionSetChanges) {
 }
 
 TEST(PassManager, ReusesPassInstancesAcrossRunsAndRounds) {
+  telemetry::Counter &Runs = series("cg_passes_run_total");
+  const uint64_t Runs0 = Runs.value();
   auto M = parse(TwoFunctionModule);
   PassManager PM(*M);
   ASSERT_TRUE(PM.run("dce").isOk());
   ASSERT_TRUE(PM.run("dce").isOk());
   ASSERT_TRUE(PM.run("instcombine").isOk());
   EXPECT_EQ(PM.stats().PassInstancesCreated, 2u);
-  EXPECT_EQ(PM.stats().PassesRun, 3u);
+  EXPECT_EQ(Runs.value() - Runs0, 3u);
 
   // Fixpoint iteration re-runs the pipeline but never re-creates passes.
   ASSERT_TRUE(
@@ -502,6 +527,8 @@ TEST(LlvmSessionCaching, ObservationsAndStateKeyFollowTheModule) {
   auto B = datasets::DatasetRegistry::instance().resolve(
       "benchmark://cbench-v1/crc32");
   ASSERT_TRUE(B.isOk());
+  telemetry::Counter &Runs = series("cg_passes_run_total");
+  const uint64_t Runs0 = Runs.value();
   envs::LlvmSession Session;
   auto Spaces = Session.getActionSpaces();
   ASSERT_FALSE(Spaces.empty());
@@ -538,7 +565,7 @@ TEST(LlvmSessionCaching, ObservationsAndStateKeyFollowTheModule) {
 
   // The session pass manager reuses instances and carries analyses.
   ASSERT_NE(Session.passManager(), nullptr);
-  EXPECT_EQ(Session.passManager()->stats().PassesRun, 1u);
+  EXPECT_EQ(Runs.value() - Runs0, 1u);
 }
 
 TEST(LlvmSessionCaching, ForkGetsIndependentCaches) {

@@ -13,6 +13,7 @@
 #include "datasets/CuratedSuites.h"
 #include "ir/Parser.h"
 #include "passes/PassManager.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,13 @@ using namespace compiler_gym::analysis;
 using namespace compiler_gym::ir;
 
 namespace {
+
+/// Per-function feature recomputes across every cache in the process;
+/// tests diff it across a window that runs one cache.
+telemetry::Counter &recomputes() {
+  return telemetry::MetricsRegistry::global().counter(
+      "cg_feature_recomputes_total");
+}
 
 std::unique_ptr<Module> smallModule() {
   auto M = parseModule(R"(module "t"
@@ -314,14 +322,15 @@ TEST(FeatureCacheIncremental, Inst2vecMatchesAndRecomputesOnlyDirty) {
   ASSERT_NE(M, nullptr);
   ASSERT_GE(M->functions().size(), 2u);
 
+  const uint64_t Before = recomputes().value();
   FeatureCache Cache;
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
-  uint64_t AfterCold = Cache.functionRecomputes();
+  uint64_t AfterCold = recomputes().value() - Before;
   EXPECT_EQ(AfterCold, M->functions().size());
 
   // Unchanged module: pure cache hit.
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold);
+  EXPECT_EQ(recomputes().value() - Before, AfterCold);
 
   // Mutate exactly one function: one segment recompute, bit-identical
   // result (the aggregate is spliced in place, not re-concatenated).
@@ -329,7 +338,7 @@ TEST(FeatureCacheIncremental, Inst2vecMatchesAndRecomputesOnlyDirty) {
   ASSERT_TRUE(mutateOneFunction(*M, *Dirty));
   Cache.invalidateFunction(Dirty);
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold + 1);
+  EXPECT_EQ(recomputes().value() - Before, AfterCold + 1);
 
   // The last function's segment is the splice tail edge case (its old
   // window ends at the already-shifted vector end).
@@ -355,6 +364,7 @@ TEST(FeatureCacheIncremental, ProgramlMatchesAndRecomputesOnlyDirty) {
   ASSERT_NE(M, nullptr);
   ASSERT_GE(M->functions().size(), 2u);
 
+  const uint64_t Before = recomputes().value();
   FeatureCache Cache;
   auto expectMatchesReference = [&] {
     ProgramGraph FromCache;
@@ -362,17 +372,17 @@ TEST(FeatureCacheIncremental, ProgramlMatchesAndRecomputesOnlyDirty) {
     EXPECT_TRUE(FromCache == buildProgramGraph(*M));
   };
   expectMatchesReference();
-  uint64_t AfterCold = Cache.functionRecomputes();
+  uint64_t AfterCold = recomputes().value() - Before;
   EXPECT_EQ(AfterCold, M->functions().size());
 
   (void)Cache.programl(*M);
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold);
+  EXPECT_EQ(recomputes().value() - Before, AfterCold);
 
   Function *Dirty = M->functions().back().get();
   ASSERT_TRUE(mutateOneFunction(*M, *Dirty));
   Cache.invalidateFunction(Dirty);
   expectMatchesReference();
-  EXPECT_EQ(Cache.functionRecomputes(), AfterCold + 1);
+  EXPECT_EQ(recomputes().value() - Before, AfterCold + 1);
 
   // One-function edits keep every other function's serialized region
   // byte-identical: each clean fragment's bytes must appear verbatim in

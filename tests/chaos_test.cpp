@@ -60,6 +60,13 @@ telemetry::Counter &corruptFaultsTotal() {
       "Faults fired by the chaos registry");
 }
 
+/// Process-wide series: each test diffs them across a window that runs one
+/// client, env or gateway.
+telemetry::Counter &series(const std::string &Name,
+                           const telemetry::Labels &L = {}) {
+  return telemetry::MetricsRegistry::global().counter(Name, L);
+}
+
 /// The fixed soak workload: deterministic action sequence, long enough to
 /// cross several fault windows.
 const std::vector<int> SoakActions = {0, 3, 1, 4, 2, 0, 3, 1};
@@ -240,8 +247,11 @@ TEST(ClientFaultPoints, CorruptRulesTruncateTheReplyBytes) {
   service::ClientOptions CO;
   CO.MaxRetries = 0;
   service::ServiceClient Client(Service, CO);
+  telemetry::Counter &Received =
+      series("cg_wire_bytes_total", {{"direction", "received"}});
+  const uint64_t Before = Received.value();
   ASSERT_TRUE(Client.heartbeat().isOk());
-  const uint64_t ReplyBytes = Client.wireBytesReceived();
+  const uint64_t ReplyBytes = Received.value() - Before;
   FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "transport.reply",
                         .Kind = FaultKind::Corrupt,
@@ -254,7 +264,7 @@ TEST(ClientFaultPoints, CorruptRulesTruncateTheReplyBytes) {
   EXPECT_EQ(R.code(), StatusCode::Unavailable);
   EXPECT_NE(R.message().find("garbled reply"), std::string::npos)
       << R.toString();
-  EXPECT_EQ(Client.wireBytesReceived() - ReplyBytes, ReplyBytes / 2);
+  EXPECT_EQ(Received.value() - Before - ReplyBytes, ReplyBytes / 2);
 }
 
 // -- The soak -----------------------------------------------------------------
@@ -316,6 +326,7 @@ TEST(ChaosSoak, ChannelFaultsAreTransparentToTheClient) {
   // More retries per call than the plan can fire in total (12), so no
   // call runs out of retries and every fault must cost a client retry.
   MO.Client.MaxRetries = 12;
+  const uint64_t RetriesBefore = series("cg_client_retries_total").value();
   auto Env = core::make("llvm-v0", MO);
   ASSERT_TRUE(Env.isOk()) << Env.status().toString();
 
@@ -343,7 +354,7 @@ TEST(ChaosSoak, ChannelFaultsAreTransparentToTheClient) {
   FaultRegistry::global().clear();
   EXPECT_GT(Fires, 0u);
   EXPECT_GT(corruptFaultsTotal().value(), CorruptBefore);
-  EXPECT_GE((*Env)->client().retryCount(), Fires);
+  EXPECT_GE(series("cg_client_retries_total").value() - RetriesBefore, Fires);
   EXPECT_EQ(Chaos.StateLine, Ref.StateLine);
   EXPECT_EQ(Chaos.IrHash, Ref.IrHash);
 }
@@ -425,7 +436,10 @@ TEST(ChaosSoak, EveryCorruptGatewayReplyIsNoticed) {
   GO.NumShards = 1;
   auto Gw = serveGateway(std::move(GO), "corrupt");
   ASSERT_TRUE(Gw);
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  telemetry::Counter &Recovered = series("cg_env_recoveries_total");
   for (uint64_t K = 0; K < 8; ++K) {
+    const uint64_t Noticed = Retries.value() + Recovered.value();
     auto Env = connectEnv(*Gw);
     ASSERT_TRUE(Env.isOk()) << Env.status().toString();
     FaultPlanSpec Plan;
@@ -438,7 +452,7 @@ TEST(ChaosSoak, EveryCorruptGatewayReplyIsNoticed) {
     uint64_t Fires = FaultRegistry::global().totalFires();
     FaultRegistry::global().clear();
     EXPECT_EQ(Fires, 1u) << "backend call " << K;
-    EXPECT_GE((*Env)->client().retryCount() + (*Env)->serviceRecoveries(), 1u)
+    EXPECT_GE(Retries.value() + Recovered.value() - Noticed, 1u)
         << "corrupt reply to backend call " << K << " went unnoticed";
     EXPECT_EQ(Out.StateLine, Ref.StateLine) << "backend call " << K;
     EXPECT_EQ(Out.IrHash, Ref.IrHash) << "backend call " << K;
@@ -492,6 +506,7 @@ TEST(ChaosDeadline, ExpiredQueuedGatewayOpsAreShedTyped) {
   RegistryReset RR;
   gateway::GatewayOptions GO;
   GO.NumShards = 1;
+  const uint64_t ShedBefore = series("cg_gateway_shed_expired_total").value();
   auto Gw = serveGateway(std::move(GO), "shed");
   ASSERT_TRUE(Gw);
   net::SocketTransport T(Gw->boundAddress());
@@ -527,7 +542,7 @@ TEST(ChaosDeadline, ExpiredQueuedGatewayOpsAreShedTyped) {
   auto ShedReply = service::decodeReply(*ShedRaw);
   ASSERT_TRUE(ShedReply.isOk());
   EXPECT_EQ(ShedReply->Code, StatusCode::DeadlineExceeded);
-  EXPECT_GE(Gw->shedExpired(), 1u);
+  EXPECT_GE(series("cg_gateway_shed_expired_total").value() - ShedBefore, 1u);
 }
 
 // -- Hung-shard watchdog ------------------------------------------------------
@@ -538,6 +553,11 @@ TEST(ChaosWatchdog, WedgedShardIsForceRestartedAndResumesFromSnapshot) {
   GO.NumShards = 1;
   GO.MonitorIntervalMs = 10;
   GO.StallWindowMs = 200;
+  telemetry::Counter &HungRestarted = series("cg_broker_hung_restarts_total");
+  telemetry::Counter &CrashRestarted =
+      series("cg_broker_shard_restarts_total");
+  const uint64_t HungBefore = HungRestarted.value();
+  const uint64_t CrashedBefore = CrashRestarted.value();
   auto Gw = serveGateway(std::move(GO), "watchdog");
   ASSERT_TRUE(Gw);
 
@@ -572,8 +592,8 @@ TEST(ChaosWatchdog, WedgedShardIsForceRestartedAndResumesFromSnapshot) {
   // The step must come back Ok: the wedged shard was force-restarted by
   // the watchdog and the env re-established its session transparently.
   EXPECT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_GE(Gw->broker().hungRestarts(), 1u);
-  EXPECT_EQ(Gw->broker().shardRestarts(), 0u)
+  EXPECT_GE(HungRestarted.value() - HungBefore, 1u);
+  EXPECT_EQ(CrashRestarted.value(), CrashedBefore)
       << "wedge must be counted as a hung restart, not a crash restart";
   // Resume came from the content-addressed snapshot: zero actions
   // replayed.

@@ -9,6 +9,7 @@
 
 #include "core/Registry.h"
 #include "core/Wrappers.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,12 @@ std::unique_ptr<CompilerEnv> makeLlvm(const std::string &Benchmark =
   auto Env = make("llvm-v0", Opts);
   EXPECT_TRUE(Env.isOk()) << Env.status().toString();
   return Env.takeValue();
+}
+
+/// RPC attempts across every client in the process; tests diff it across a
+/// window that runs one env.
+telemetry::Counter &rpcs() {
+  return telemetry::MetricsRegistry::global().counter("cg_client_rpcs_total");
 }
 
 TEST(Env, MakeUnknownEnvFails) {
@@ -99,21 +106,27 @@ TEST(Env, RewardIsInstructionCountDelta) {
 }
 
 TEST(Env, BatchedStepMatchesSequentialFinalState) {
-  auto EnvA = makeLlvm();
-  auto EnvB = makeLlvm();
-  ASSERT_TRUE(EnvA->reset().isOk());
-  ASSERT_TRUE(EnvB->reset().isOk());
   std::vector<int> Actions = {0, 5, 9, 2, 14};
+  // The sequential control runs in its own RPC window, then the batch.
+  uint64_t Before = rpcs().value();
+  auto EnvA = makeLlvm();
+  ASSERT_TRUE(EnvA->reset().isOk());
   for (int A : Actions)
     ASSERT_TRUE(EnvA->step(A).isOk());
-  ASSERT_TRUE(EnvB->step(Actions).isOk()); // One batched RPC.
   auto HashA = EnvA->observation()["IrHash"];
+  const uint64_t RpcsA = rpcs().value() - Before;
+
+  Before = rpcs().value();
+  auto EnvB = makeLlvm();
+  ASSERT_TRUE(EnvB->reset().isOk());
+  ASSERT_TRUE(EnvB->step(Actions).isOk()); // One batched RPC.
   auto HashB = EnvB->observation()["IrHash"];
+  const uint64_t RpcsB = rpcs().value() - Before;
   ASSERT_TRUE(HashA.isOk());
   ASSERT_TRUE(HashB.isOk());
   EXPECT_EQ(*HashA->asString(), *HashB->asString());
   // Batched used fewer RPCs.
-  EXPECT_LT(EnvB->client().rpcCount(), EnvA->client().rpcCount());
+  EXPECT_LT(RpcsB, RpcsA);
 }
 
 TEST(Env, LazyObservationSpaces) {
@@ -277,13 +290,13 @@ TEST(Env, ScaledRewardReachesOneAtOzParity) {
 TEST(Env, MultiSpaceStepIsOneRpc) {
   auto Env = makeLlvm();
   ASSERT_TRUE(Env->reset().isOk());
-  uint64_t Before = Env->client().rpcCount();
+  uint64_t Before = rpcs().value();
   // Three observation spaces plus two reward spaces (the active one and an
   // explicit scaled one) all ride the single step RPC.
   auto R = Env->step({0}, {"InstCount", "Autophase", "IrInstructionCount"},
                      {"IrInstructionCount", "IrInstructionCountOz"});
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(rpcs().value(), Before + 1);
 
   ASSERT_EQ(R->Observations.size(), 3u);
   EXPECT_EQ(R->Observations[0].first, "InstCount");
@@ -299,10 +312,10 @@ TEST(Env, MultiSpaceStepIsOneRpc) {
 
   // Post-step view queries of the requested spaces are cache hits: zero
   // additional RPCs.
-  uint64_t AfterStep = Env->client().rpcCount();
+  uint64_t AfterStep = rpcs().value();
   ASSERT_TRUE(Env->observation()["Autophase"].isOk());
   ASSERT_TRUE(Env->observation()["IrInstructionCount"].isOk());
-  EXPECT_EQ(Env->client().rpcCount(), AfterStep);
+  EXPECT_EQ(rpcs().value(), AfterStep);
 }
 
 TEST(Env, SequentialObservesCostMoreRpcsThanMultiSpaceStep) {
@@ -311,15 +324,15 @@ TEST(Env, SequentialObservesCostMoreRpcsThanMultiSpaceStep) {
   ASSERT_TRUE(EnvA->reset().isOk());
   ASSERT_TRUE(EnvB->reset().isOk());
   const std::vector<std::string> Spaces = {"InstCount", "Autophase", "Ir"};
-  uint64_t BeforeA = EnvA->client().rpcCount();
+  uint64_t BeforeA = rpcs().value();
   ASSERT_TRUE(EnvA->step({0}, Spaces).isOk());
-  uint64_t CostA = EnvA->client().rpcCount() - BeforeA;
+  uint64_t CostA = rpcs().value() - BeforeA;
 
-  uint64_t BeforeB = EnvB->client().rpcCount();
+  uint64_t BeforeB = rpcs().value();
   ASSERT_TRUE(EnvB->step(0).isOk());
   for (const std::string &S : Spaces)
     ASSERT_TRUE(EnvB->rawObservations({S}).isOk());
-  uint64_t CostB = EnvB->client().rpcCount() - BeforeB;
+  uint64_t CostB = rpcs().value() - BeforeB;
   EXPECT_EQ(CostA, 1u);
   EXPECT_EQ(CostB, 1u + Spaces.size());
 }
@@ -422,16 +435,6 @@ TEST(Env, BenchmarkGetterReportsAppliedNotPendingUri) {
   EXPECT_EQ(Env->pendingBenchmark(), "benchmark://cbench-v1/sha");
 }
 
-TEST(Env, EnvStateLegacyFiveFieldLineStillParses) {
-  auto Restored = EnvState::deserialize(
-      "llvm-v0|benchmark://cbench-v1/qsort|IrInstructionCount|1.5|4,8,15");
-  ASSERT_TRUE(Restored.isOk()) << Restored.status().toString();
-  EXPECT_EQ(Restored->ObservationSpace, "");
-  EXPECT_EQ(Restored->RewardSpace, "IrInstructionCount");
-  EXPECT_DOUBLE_EQ(Restored->CumulativeReward, 1.5);
-  EXPECT_EQ(Restored->Actions, (std::vector<int>{4, 8, 15}));
-}
-
 TEST(Env, EnvStateRoundTripsAllSixFields) {
   EnvState State;
   State.EnvId = "llvm-v0";
@@ -453,6 +456,11 @@ TEST(Env, EnvStateRoundTripsAllSixFields) {
 
 TEST(Env, EnvStateRejectsMalformedLines) {
   EXPECT_FALSE(EnvState::deserialize("only|three|fields").isOk());
+  // The 5-field line that predates the observation-space field.
+  EXPECT_FALSE(EnvState::deserialize(
+                   "llvm-v0|benchmark://cbench-v1/qsort|IrInstructionCount|"
+                   "1.5|4,8,15")
+                   .isOk());
   EXPECT_FALSE(EnvState::deserialize(
                    "llvm-v0|benchmark://x/y|IrInstructionCount|Autophase|1.0|"
                    "x,y")

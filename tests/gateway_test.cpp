@@ -17,6 +17,7 @@
 #include "net/SocketTransport.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
+#include "telemetry/MetricsRegistry.h"
 #include "telemetry/Trace.h"
 
 #include <gtest/gtest.h>
@@ -42,6 +43,17 @@ NetAddress uniqueListenAddress(const char *Tag) {
   Addr.Path = "/tmp/cg_gw_test_" + std::to_string(::getpid()) + "_" + Tag +
               "_" + std::to_string(Counter.fetch_add(1)) + ".sock";
   return Addr;
+}
+
+/// Process-wide series; tests diff them across a window that runs one
+/// gateway or env.
+telemetry::Counter &series(const std::string &Name,
+                           const telemetry::Labels &L = {}) {
+  return telemetry::MetricsRegistry::global().counter(Name, L);
+}
+
+telemetry::Counter &dispatched(const std::string &Tenant) {
+  return series("cg_gateway_dispatched_total", {{"tenant", Tenant}});
 }
 
 std::unique_ptr<Gateway> serveGateway(GatewayOptions Opts, const char *Tag) {
@@ -265,6 +277,10 @@ TEST(Gateway, WeightedRoundRobinKeepsStarvedTenantMoving) {
   GatewayOptions Opts;
   Opts.NumShards = 1;
   Opts.Tenants = {{"bulk", "bulk-tok"}, {"light", "light-tok"}};
+  telemetry::Counter &Bulk = dispatched("bulk");
+  telemetry::Counter &Light = dispatched("light");
+  const uint64_t Bulk0 = Bulk.value();
+  const uint64_t Light0 = Light.value();
   auto Gw = serveGateway(std::move(Opts), "fair");
 
   SocketTransport BulkRaw(Gw->boundAddress());
@@ -293,14 +309,14 @@ TEST(Gateway, WeightedRoundRobinKeepsStarvedTenantMoving) {
       EXPECT_TRUE(R.isOk() && R->Code == StatusCode::Ok);
     });
   for (int I = 0; I < LightOps; ++I)
-    Threads.emplace_back([&Gw, &LightStart, &LightDone,
+    Threads.emplace_back([&Gw, &LightStart, &LightDone, &Bulk, Bulk0,
                           &BulkDispatchedWhenLightFinished] {
       SocketTransport Mine(Gw->boundAddress());
       auto R =
           rawCall(Mine, rawStep("light-tok", LightStart->Start.SessionId));
       EXPECT_TRUE(R.isOk() && R->Code == StatusCode::Ok);
       if (LightDone.fetch_add(1) + 1 == LightOps)
-        BulkDispatchedWhenLightFinished.store(Gw->dispatchedFor("bulk"));
+        BulkDispatchedWhenLightFinished.store(Bulk.value() - Bulk0);
     });
   // Every request must be sitting in its queue before dispatch resumes,
   // or the race (not the scheduler) decides the interleaving.
@@ -318,51 +334,59 @@ TEST(Gateway, WeightedRoundRobinKeepsStarvedTenantMoving) {
   uint64_t BulkAtLightDone = BulkDispatchedWhenLightFinished.load();
   ASSERT_NE(BulkAtLightDone, UINT64_MAX);
   EXPECT_LT(BulkAtLightDone, 1u + BulkOps);
-  EXPECT_EQ(Gw->dispatchedFor("bulk"), 1u + BulkOps);
-  EXPECT_EQ(Gw->dispatchedFor("light"), 1u + LightOps);
+  EXPECT_EQ(Bulk.value() - Bulk0, 1u + BulkOps);
+  EXPECT_EQ(Light.value() - Light0, 1u + LightOps);
 }
 
 // -- End-to-end episodes ------------------------------------------------------
 
 TEST(Gateway, RemoteEpisodeIsIdenticalToInProcess) {
-  // Control: a plain in-process env.
+  // Repeats on purpose: a re-applied pass often changes nothing, which is
+  // exactly what the delta handshake compresses.
+  const std::vector<int> Actions = {0, 1, 1, 2, 0, 0, 3, 2, 1, 0};
+  telemetry::Counter &Deltas = series("cg_env_delta_replies_total");
+
+  // Control: a plain in-process env, run first in its own delta window.
+  uint64_t Before = Deltas.value();
   core::MakeOptions MO;
   MO.Benchmark = Crc32;
   MO.ObservationSpace = "Autophase";
   MO.RewardSpace = "IrInstructionCount";
   auto Control = core::make("llvm-v0", MO);
   ASSERT_TRUE(Control.isOk()) << Control.status().toString();
+  auto CtlObs = (*Control)->reset();
+  ASSERT_TRUE(CtlObs.isOk());
+  std::vector<core::StepResult> CtlSteps;
+  for (int A : Actions) {
+    auto Ctl = (*Control)->step(A);
+    ASSERT_TRUE(Ctl.isOk()) << Ctl.status().toString();
+    CtlSteps.push_back(std::move(*Ctl));
+  }
+  const uint64_t ControlDeltas = Deltas.value() - Before;
 
   GatewayOptions Opts;
   Opts.NumShards = 2;
   Opts.Tenants = {{"t", "tok"}};
   auto Gw = serveGateway(std::move(Opts), "e2e");
+  Before = Deltas.value();
   auto Remote = connectEnv(*Gw, "tok");
   ASSERT_TRUE(Remote.isOk()) << Remote.status().toString();
-
-  auto CtlObs = (*Control)->reset();
   auto RemObs = (*Remote)->reset();
-  ASSERT_TRUE(CtlObs.isOk());
   ASSERT_TRUE(RemObs.isOk()) << RemObs.status().toString();
   EXPECT_EQ(CtlObs->Ints, RemObs->Ints);
-
-  // Repeats on purpose: a re-applied pass often changes nothing, which is
-  // exactly what the delta handshake compresses.
-  const std::vector<int> Actions = {0, 1, 1, 2, 0, 0, 3, 2, 1, 0};
-  for (int A : Actions) {
-    auto Ctl = (*Control)->step(A);
-    auto Rem = (*Remote)->step(A);
-    ASSERT_TRUE(Ctl.isOk()) << Ctl.status().toString();
+  for (size_t I = 0; I < Actions.size(); ++I) {
+    auto Rem = (*Remote)->step(Actions[I]);
     ASSERT_TRUE(Rem.isOk()) << Rem.status().toString();
-    EXPECT_EQ(Ctl->Obs.Ints, Rem->Obs.Ints) << "action " << A;
-    EXPECT_DOUBLE_EQ(Ctl->Reward, Rem->Reward) << "action " << A;
+    EXPECT_EQ(CtlSteps[I].Obs.Ints, Rem->Obs.Ints) << "action " << Actions[I];
+    EXPECT_DOUBLE_EQ(CtlSteps[I].Reward, Rem->Reward)
+        << "action " << Actions[I];
   }
+  const uint64_t RemoteDeltas = Deltas.value() - Before;
   EXPECT_DOUBLE_EQ((*Control)->episodeReward(), (*Remote)->episodeReward());
   // The wire-delta handshake worked through the gateway's byte-for-byte
   // reply forwarding.
-  EXPECT_GT((*Remote)->deltaRepliesReceived(), 0u);
-  EXPECT_EQ((*Control)->deltaRepliesReceived(),
-            (*Remote)->deltaRepliesReceived());
+  EXPECT_GT(RemoteDeltas, 0u);
+  EXPECT_EQ(ControlDeltas, RemoteDeltas);
 }
 
 TEST(Gateway, RemoteTraceStitchesThroughGateway) {
@@ -406,6 +430,10 @@ TEST(Gateway, RemoteTraceStitchesThroughGateway) {
 TEST(Gateway, TransparentlyRestoresSessionAfterShardRestart) {
   GatewayOptions Opts;
   Opts.NumShards = 1;
+  telemetry::Counter &Restored = series("cg_gateway_restores_total");
+  telemetry::Counter &Recovered = series("cg_env_recoveries_total");
+  const uint64_t RestoresBefore = Restored.value();
+  const uint64_t RecoveriesBefore = Recovered.value();
   auto Gw = serveGateway(std::move(Opts), "restore");
   auto Env = connectEnv(*Gw, "");
   ASSERT_TRUE(Env.isOk());
@@ -419,8 +447,8 @@ TEST(Gateway, TransparentlyRestoresSessionAfterShardRestart) {
   Gw->broker().shardService(0)->restart();
   auto R = (*Env)->step(2);
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_GE(Gw->restores(), 1u);
-  EXPECT_EQ((*Env)->serviceRecoveries(), 0u); // Invisible to the client.
+  EXPECT_GE(Restored.value() - RestoresBefore, 1u);
+  EXPECT_EQ(Recovered.value(), RecoveriesBefore); // Invisible to the client.
 
   // The restored trajectory matches an uninterrupted control episode.
   core::MakeOptions MO;
@@ -455,6 +483,8 @@ TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
   GatewayOptions Opts;
   Opts.NumShards = 1;
   Opts.MonitorIntervalMs = 2; // Restart crashed shards promptly.
+  telemetry::Counter &Restarted = series("cg_broker_shard_restarts_total");
+  const uint64_t RestartsBefore = Restarted.value();
   auto Gw = serveGateway(std::move(Opts), "crashy");
   fault::FaultPlanSpec Plan;
   Plan.Rules.push_back({.Point = "service.handle",
@@ -474,12 +504,14 @@ TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
   // The episode crossed at least one crash, healed by the gateway's
   // transparent restore and/or the env's own re-establishment.
-  EXPECT_GE(Gw->broker().shardRestarts(), 1u);
+  EXPECT_GE(Restarted.value() - RestartsBefore, 1u);
 }
 
 TEST(Gateway, DrainMigratesLiveSessionMidEpisode) {
   GatewayOptions Opts;
   Opts.NumShards = 2;
+  telemetry::Counter &Migrated = series("cg_gateway_migrations_total");
+  const uint64_t MigrationsBefore = Migrated.value();
   auto Gw = serveGateway(std::move(Opts), "drain");
   auto Env = connectEnv(*Gw, "");
   ASSERT_TRUE(Env.isOk());
@@ -494,7 +526,7 @@ TEST(Gateway, DrainMigratesLiveSessionMidEpisode) {
     Moved = Gw->drainShard(1);
   }
   EXPECT_EQ(Moved, 1u);
-  EXPECT_GE(Gw->migrations(), 1u);
+  EXPECT_GE(Migrated.value() - MigrationsBefore, 1u);
 
   // The episode continues on the new shard, mid-flight, same trajectory.
   for (int A : {2, 3, 0})

@@ -19,6 +19,7 @@
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
+#include "telemetry/MetricsRegistry.h"
 #include "util/Rng.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +39,12 @@ datasets::Benchmark testBenchmark() {
       "benchmark://cbench-v1/crc32");
   EXPECT_TRUE(B.isOk());
   return *B;
+}
+
+/// Process-wide series; tests diff them across a window that runs one
+/// client and its transport.
+telemetry::Counter &series(const std::string &Name) {
+  return telemetry::MetricsRegistry::global().counter(Name);
 }
 
 std::string uniqueSocketPath(const char *Tag) {
@@ -315,10 +322,12 @@ TEST_F(NetLoopbackTest, UnixDomainEpisode) {
   Addr.Kind = NetAddress::Family::Unix;
   Addr.Path = uniqueSocketPath("uds");
   serveAt(Addr);
+  telemetry::Counter &Connected = series("cg_net_connects_total");
+  const uint64_t ConnectsBefore = Connected.value();
   auto Client = makeClient();
   EXPECT_TRUE(Client->heartbeat().isOk());
   runEpisode(*Client);
-  EXPECT_EQ(Channel->connectCount(), 1u);
+  EXPECT_EQ(Connected.value() - ConnectsBefore, 1u);
 }
 
 TEST_F(NetLoopbackTest, TcpEpisodeOnEphemeralPort) {
@@ -360,6 +369,10 @@ TEST_F(NetLoopbackTest, ReconnectsAfterServerRestart) {
   Opts.MaxRetries = 6;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 40;
+  telemetry::Counter &Connected = series("cg_net_connects_total");
+  telemetry::Counter &Reconnects = series("cg_client_reconnects_total");
+  const uint64_t ConnectsBefore = Connected.value();
+  const uint64_t ReconnectsBefore = Reconnects.value();
   auto Client = makeClient(Opts);
   ASSERT_TRUE(Client->heartbeat().isOk());
 
@@ -374,8 +387,8 @@ TEST_F(NetLoopbackTest, ReconnectsAfterServerRestart) {
   Status S = Client->heartbeat();
   Restarter.join();
   EXPECT_TRUE(S.isOk()) << S.toString();
-  EXPECT_GE(Channel->connectCount(), 2u);
-  EXPECT_GE(Client->reconnectCount(), 1u);
+  EXPECT_GE(Connected.value() - ConnectsBefore, 2u);
+  EXPECT_GE(Reconnects.value() - ReconnectsBefore, 1u);
 }
 
 TEST_F(NetLoopbackTest, GarbageOnTheWireDropsConnectionCleanly) {
@@ -454,13 +467,17 @@ TEST(ClientRetry, DisconnectFaultsAreRetriedAndCounted) {
   Opts.MaxRetries = 3;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 4;
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  telemetry::Counter &Reconnects = series("cg_client_reconnects_total");
+  const uint64_t RetriesBefore = Retries.value();
+  const uint64_t ReconnectsBefore = Reconnects.value();
   ServiceClient Client(Service, Opts);
   Status S = Client.heartbeat();
   ASSERT_FALSE(S.isOk());
   EXPECT_EQ(S.code(), StatusCode::Unavailable);
-  EXPECT_EQ(Client.retryCount(), 3u);
+  EXPECT_EQ(Retries.value() - RetriesBefore, 3u);
   // Every failed attempt (initial + 3 retries) was channel loss.
-  EXPECT_EQ(Client.reconnectCount(), 4u);
+  EXPECT_EQ(Reconnects.value() - ReconnectsBefore, 4u);
 }
 
 TEST(ClientRetry, PartialWriteFaultIsRetriedAsGarbled) {
@@ -476,13 +493,18 @@ TEST(ClientRetry, PartialWriteFaultIsRetriedAsGarbled) {
   Opts.MaxRetries = 8;
   Opts.RetryBackoffMs = 1;
   Opts.RetryBackoffMaxMs = 2;
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  telemetry::Counter &Reconnects = series("cg_client_reconnects_total");
+  const uint64_t RetriesBefore = Retries.value();
+  const uint64_t ReconnectsBefore = Reconnects.value();
   ServiceClient Client(Service, Opts);
   // With p=0.5 and 9 attempts per call, 20 heartbeats all succeed with
   // overwhelming probability — and some retries must have happened.
   for (int I = 0; I < 20; ++I)
     ASSERT_TRUE(Client.heartbeat().isOk());
-  EXPECT_GT(Client.retryCount(), 0u);
-  EXPECT_EQ(Client.reconnectCount(), 0u); // Garbled is not channel loss.
+  EXPECT_GT(Retries.value(), RetriesBefore);
+  // Garbled is not channel loss.
+  EXPECT_EQ(Reconnects.value(), ReconnectsBefore);
 }
 
 TEST(ClientRetry, TypedBackpressureIsHonoredWithoutRecovery) {
@@ -500,14 +522,20 @@ TEST(ClientRetry, TypedBackpressureIsHonoredWithoutRecovery) {
   ClientOptions Opts;
   Opts.MaxRetries = 3;
   Opts.RetryBackoffMs = 1;
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  telemetry::Counter &Reconnects = series("cg_client_reconnects_total");
+  telemetry::Counter &Restarted = series("cg_client_service_restarts_total");
+  const uint64_t RetriesBefore = Retries.value();
+  const uint64_t ReconnectsBefore = Reconnects.value();
+  const uint64_t RestartsBefore = Restarted.value();
   ServiceClient Client(Service, Scripted, Opts);
   Status S = Client.heartbeat();
   EXPECT_TRUE(S.isOk()) << S.toString();
-  EXPECT_EQ(Client.retryCount(), 2u);
+  EXPECT_EQ(Retries.value() - RetriesBefore, 2u);
   // Backpressure is flow control, not channel loss: no reconnects, no
   // restarts.
-  EXPECT_EQ(Client.reconnectCount(), 0u);
-  EXPECT_EQ(Client.restartCount(), 0u);
+  EXPECT_EQ(Reconnects.value(), ReconnectsBefore);
+  EXPECT_EQ(Restarted.value(), RestartsBefore);
 }
 
 TEST(ClientRetry, ExhaustedBackpressureSurfacesTypedReply) {
@@ -537,9 +565,11 @@ TEST(ClientRetry, NullServiceRestartIsNoOp) {
   auto Service = std::make_shared<CompilerService>();
   auto Base = std::make_shared<QueueTransport>(
       [Service](const std::string &B) { return Service->handle(B); });
+  telemetry::Counter &Restarted = series("cg_client_service_restarts_total");
+  const uint64_t RestartsBefore = Restarted.value();
   ServiceClient Client(nullptr, Base);
   Client.restartService(); // Must not crash.
-  EXPECT_EQ(Client.restartCount(), 0u);
+  EXPECT_EQ(Restarted.value(), RestartsBefore);
   EXPECT_TRUE(Client.heartbeat().isOk());
 }
 

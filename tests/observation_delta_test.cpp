@@ -14,6 +14,7 @@
 #include "runtime/ServiceBroker.h"
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,22 @@ TEST(ObservationDelta, BaseKeysSurviveRequestSerialization) {
 
 // -- End-to-end: the epoch handshake through the env stack -------------------
 
+/// Process-wide series; tests diff them across a window that runs one env.
+telemetry::Counter &deltaReplies() {
+  return telemetry::MetricsRegistry::global().counter(
+      "cg_env_delta_replies_total");
+}
+
+telemetry::Counter &recoveries() {
+  return telemetry::MetricsRegistry::global().counter(
+      "cg_env_recoveries_total");
+}
+
+telemetry::Counter &bytesReceived() {
+  return telemetry::MetricsRegistry::global().counter(
+      "cg_wire_bytes_total", {{"direction", "received"}});
+}
+
 core::MakeOptions plainLlvm(const std::string &Benchmark) {
   core::MakeOptions Opts;
   Opts.Benchmark = Benchmark;
@@ -199,6 +216,7 @@ core::MakeOptions plainLlvm(const std::string &Benchmark) {
 }
 
 TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
+  const uint64_t Deltas0 = deltaReplies().value();
   auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
   ASSERT_TRUE(Env.isOk()) << Env.status().toString();
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -207,14 +225,14 @@ TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
                                            "Autophase"};
   auto First = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(First.isOk()) << First.status().toString();
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), 0u) << "no base on first fetch";
+  EXPECT_EQ(deltaReplies().value(), Deltas0) << "no base on first fetch";
 
   // Same state, advertised bases: the service answers "unchanged" deltas.
-  uint64_t BytesBefore = (*Env)->client().wireBytesReceived();
+  uint64_t BytesBefore = bytesReceived().value();
   auto Second = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Second.isOk());
-  uint64_t UnchangedBytes = (*Env)->client().wireBytesReceived() - BytesBefore;
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), 3u);
+  uint64_t UnchangedBytes = bytesReceived().value() - BytesBefore;
+  EXPECT_EQ(deltaReplies().value(), Deltas0 + 3);
   for (size_t I = 0; I < Spaces.size(); ++I) {
     EXPECT_EQ((*First)[I].Ints, (*Second)[I].Ints) << Spaces[I];
     EXPECT_EQ((*First)[I].Doubles, (*Second)[I].Doubles) << Spaces[I];
@@ -232,10 +250,10 @@ TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
       break;
     }
   ASSERT_TRUE((*Env)->step({Action}).isOk());
-  uint64_t DeltasBefore = (*Env)->deltaRepliesReceived();
+  uint64_t DeltasBefore = deltaReplies().value();
   auto Third = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Third.isOk());
-  EXPECT_GT((*Env)->deltaRepliesReceived(), DeltasBefore);
+  EXPECT_GT(deltaReplies().value(), DeltasBefore);
 
   auto Fresh = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
   ASSERT_TRUE(Fresh.isOk());
@@ -257,9 +275,9 @@ TEST(ObservationDeltaE2E, RepeatedObservationsArriveAsDeltas) {
         core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
     ASSERT_TRUE(Env2.isOk());
     ASSERT_TRUE((*Env2)->reset().isOk());
-    uint64_t Before = (*Env2)->client().wireBytesReceived();
+    uint64_t Before = bytesReceived().value();
     ASSERT_TRUE((*Env2)->rawObservations(Spaces).isOk());
-    FullBytes = (*Env2)->client().wireBytesReceived() - Before;
+    FullBytes = bytesReceived().value() - Before;
   }
   EXPECT_LT(UnchangedBytes, FullBytes / 4);
 }
@@ -271,13 +289,14 @@ TEST(ObservationDeltaE2E, ForkedEnvInheritsBasesAndStaysCorrect) {
   const std::vector<std::string> Spaces = {"Inst2vec", "Programl"};
   ASSERT_TRUE((*Env)->rawObservations(Spaces).isOk());
 
+  const uint64_t DeltasBefore = deltaReplies().value();
   auto Fork = (*Env)->fork();
   ASSERT_TRUE(Fork.isOk()) << Fork.status().toString();
   // The clone holds the parent's bases for the identical state: its first
   // fetch can already be an unchanged-delta.
   auto Obs = (*Fork)->rawObservations(Spaces);
   ASSERT_TRUE(Obs.isOk());
-  EXPECT_GT((*Fork)->deltaRepliesReceived(), 0u);
+  EXPECT_GT(deltaReplies().value(), DeltasBefore);
   auto Parent = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Parent.isOk());
   for (size_t I = 0; I < Spaces.size(); ++I) {
@@ -325,6 +344,7 @@ std::vector<double> referenceInst2vec(const std::vector<int> &Actions) {
 TEST(ObservationDeltaE2E, RestartedPrivateServiceStillAnswersWithDeltas) {
   // The observation cache outlives a service restart, so the client's base
   // is still there after recovery: the moved state arrives as a delta.
+  const uint64_t RecoveriesBefore = recoveries().value();
   auto Env = core::make("llvm-v0", plainLlvm("benchmark://cbench-v1/crc32"));
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -335,11 +355,11 @@ TEST(ObservationDeltaE2E, RestartedPrivateServiceStillAnswersWithDeltas) {
   ASSERT_TRUE((*Env)->step({Mem2Reg}, {"Inst2vec"}, {}).isOk());
 
   (*Env)->client().restartService();
-  uint64_t DeltasBefore = (*Env)->deltaRepliesReceived();
+  uint64_t DeltasBefore = deltaReplies().value();
   auto R = (*Env)->step({Dce}, {"Inst2vec"}, {});
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_EQ((*Env)->serviceRecoveries(), 1u);
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), DeltasBefore + 1);
+  EXPECT_EQ(recoveries().value(), RecoveriesBefore + 1);
+  EXPECT_EQ(deltaReplies().value(), DeltasBefore + 1);
   ASSERT_EQ(R->Observations.size(), 1u);
   EXPECT_EQ(*R->Observations[0].second.asDoubleList(),
             referenceInst2vec({Mem2Reg, Dce}));
@@ -359,6 +379,7 @@ TEST(ObservationDeltaE2E, ClearedBrokerCacheFallsBackToFullPayloads) {
   EnvOpts.BenchmarkUri = "benchmark://cbench-v1/crc32";
   EnvOpts.ObservationSpace = ""; // Only the requested Inst2vec travels.
   EnvOpts.RewardSpace = "";
+  const uint64_t Deltas0 = deltaReplies().value();
   auto Env = core::CompilerEnv::attach(EnvOpts, Broker.shardService(0),
                                        Broker.shardTransport(0));
   ASSERT_TRUE(Env.isOk()) << Env.status().toString();
@@ -369,14 +390,14 @@ TEST(ObservationDeltaE2E, ClearedBrokerCacheFallsBackToFullPayloads) {
 
   // With the base cached, the moved state is a delta.
   ASSERT_TRUE((*Env)->step({Mem2Reg}, {"Inst2vec"}, {}).isOk());
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), 1u);
+  EXPECT_EQ(deltaReplies().value(), Deltas0 + 1);
 
   int Dce = actionIndex(**Env, "dce");
   ASSERT_GE(Dce, 0);
   Broker.observationCache().clear();
   auto R = (*Env)->step({Dce}, {"Inst2vec"}, {});
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_EQ((*Env)->deltaRepliesReceived(), 1u);
+  EXPECT_EQ(deltaReplies().value(), Deltas0 + 1);
   ASSERT_EQ(R->Observations.size(), 1u);
   EXPECT_EQ(*R->Observations[0].second.asDoubleList(),
             referenceInst2vec({Mem2Reg, Dce}));
@@ -400,6 +421,7 @@ TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
                         .AfterHits = 6,
                         .MaxFires = 1});
   fault::ScopedFaultPlan Armed(Plan);
+  const uint64_t RecoveriesBefore = recoveries().value();
   auto Env = core::make("llvm-v0", Plain);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -408,7 +430,7 @@ TEST(ObservationDeltaE2E, SurvivesCrashRecovery) {
   // bases stay coherent.
   for (int I = 0; I < 4; ++I)
     ASSERT_TRUE((*Env)->step({0}).isOk());
-  EXPECT_GT((*Env)->serviceRecoveries(), 0u);
+  EXPECT_GT(recoveries().value(), RecoveriesBefore);
   auto Obs = (*Env)->rawObservations(Spaces);
   ASSERT_TRUE(Obs.isOk());
 

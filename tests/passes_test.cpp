@@ -437,7 +437,14 @@ entry:
 }
 
 TEST(Passes, LoopUnrollFullyUnrollsCountedLoop) {
-  auto M = parse(R"(module "t"
+  // Returning the body's %accnext reads the sum after the last iteration;
+  // returning the header phi %acc reads its value in the last iteration,
+  // one addend short.
+  const std::pair<const char *, int64_t> Cases[] = {
+      {"%accnext", 0 + 1 + 2 + 3}, {"%acc", 0 + 1 + 2}};
+  for (const auto &[Ret, Sum] : Cases) {
+    SCOPED_TRACE(Ret);
+    auto M = parse(std::string(R"(module "t"
 global @g = words 8
 func @main() -> i64 {
 entry:
@@ -450,20 +457,41 @@ body:
   %c = icmp i1 lt i64 %inext, i64 4
   condbr i1 %c, label %body, label %exit
 exit:
-  ret i64 %accnext
+  ret i64 )") + Ret + "\n}\n");
+    ir::InterpreterOptions IOpts;
+    auto Before = interpret(*M, IOpts);
+    ASSERT_TRUE(Before.isOk());
+    EXPECT_TRUE(run(*M, "loop-unroll<8>"));
+    auto After = interpret(*M, IOpts);
+    ASSERT_TRUE(After.isOk());
+    EXPECT_EQ(Before->ReturnInt, After->ReturnInt);
+    EXPECT_EQ(After->ReturnInt, Sum);
+    // No backedge remains.
+    ir::DominatorTree DT(*M->findFunction("main"));
+    EXPECT_TRUE(ir::findNaturalLoops(*M->findFunction("main"), DT).empty());
+  }
 }
-)");
+
+TEST(Passes, LoopUnrollKeepsCsmithProgramSemantics) {
+  // A random-action episode on this program, minimized to six passes: the
+  // unrolled header phi fed a use after the loop one iteration late.
+  auto Bench =
+      datasets::DatasetRegistry::instance().resolve("benchmark://csmith-v0/5");
+  ASSERT_TRUE(Bench.isOk()) << Bench.status().toString();
+  ASSERT_TRUE(Bench->Runnable);
+  auto Reference = parse(Bench->IrText);
+  ASSERT_NE(Reference, nullptr);
+  auto M = Reference->clone();
+  PassManager PM(*M);
+  for (const char *Pass : {"mem2reg", "instcombine", "simplifycfg",
+                           "instcombine", "inline<300>", "loop-unroll<32>"})
+    ASSERT_TRUE(PM.run(Pass).isOk()) << Pass;
+  ASSERT_TRUE(verifyModule(*M).isOk());
   ir::InterpreterOptions IOpts;
-  auto Before = interpret(*M, IOpts);
-  ASSERT_TRUE(Before.isOk());
-  EXPECT_TRUE(run(*M, "loop-unroll<8>"));
-  auto After = interpret(*M, IOpts);
-  ASSERT_TRUE(After.isOk());
-  EXPECT_EQ(Before->ReturnInt, After->ReturnInt);
-  EXPECT_EQ(After->ReturnInt, 0 + 1 + 2 + 3);
-  // No backedge remains.
-  ir::DominatorTree DT(*M->findFunction("main"));
-  EXPECT_TRUE(ir::findNaturalLoops(*M->findFunction("main"), DT).empty());
+  IOpts.Args = Bench->Inputs;
+  analysis::ValidationResult V =
+      analysis::validateSemantics(*Reference, *M, IOpts);
+  EXPECT_TRUE(V.Ok) << V.Error;
 }
 
 TEST(Passes, LoopUnrollRespectsTripLimit) {

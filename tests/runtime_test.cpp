@@ -15,6 +15,7 @@
 #include "envs/llvm/LlvmSession.h"
 #include "fault/FaultRegistry.h"
 #include "rl/Rollout.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,17 @@ fault::FaultPlanSpec crashAfter(std::initializer_list<uint64_t> AfterHits) {
   return Plan;
 }
 
+/// Process-wide series; tests diff them across a window that runs one
+/// cache, broker or pool.
+telemetry::Counter &series(const std::string &Name,
+                           const telemetry::Labels &L = {}) {
+  return telemetry::MetricsRegistry::global().counter(Name, L);
+}
+
+telemetry::Counter &cacheEvents(const char *Event) {
+  return series("cg_obs_cache_events_total", {{"event", Event}});
+}
+
 // -- ObservationCache ----------------------------------------------------------
 
 service::Observation intObs(int64_t V) {
@@ -49,14 +61,18 @@ service::Observation intObs(int64_t V) {
 }
 
 TEST(ObservationCache, RoundTripAndCounters) {
+  telemetry::Counter &HitEvents = cacheEvents("hit");
+  telemetry::Counter &MissEvents = cacheEvents("miss");
+  const uint64_t Hits0 = HitEvents.value();
+  const uint64_t Misses0 = MissEvents.value();
   ObservationCache Cache;
   EXPECT_EQ(Cache.lookup(1, "Autophase"), nullptr);
-  EXPECT_EQ(Cache.misses(), 1u);
+  EXPECT_EQ(MissEvents.value() - Misses0, 1u);
   Cache.insert(1, "Autophase", intObs(42));
   auto Hit = Cache.lookup(1, "Autophase");
   ASSERT_NE(Hit, nullptr);
   EXPECT_EQ(Hit->IntValue, 42);
-  EXPECT_EQ(Cache.hits(), 1u);
+  EXPECT_EQ(HitEvents.value() - Hits0, 1u);
   // Same state, different space: distinct entry.
   EXPECT_EQ(Cache.lookup(1, "InstCount"), nullptr);
   // Different state, same space: distinct entry.
@@ -68,6 +84,8 @@ TEST(ObservationCache, RoundTripAndCounters) {
 }
 
 TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
+  telemetry::Counter &EvictEvents = cacheEvents("eviction");
+  const uint64_t Evictions0 = EvictEvents.value();
   ObservationCache Cache;
   // Twice the fixed capacity, with one hot entry touched after every
   // insert: each stripe overflows, evicting its least recently used
@@ -80,7 +98,7 @@ TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
     ASSERT_NE(Cache.lookup(Hot, "S"), nullptr) << "after insert " << I;
   }
   EXPECT_EQ(Cache.size(), ObservationCache::capacity());
-  EXPECT_EQ(Cache.evictions(), Inserts + 1 - Cache.size());
+  EXPECT_EQ(EvictEvents.value() - Evictions0, Inserts + 1 - Cache.size());
   EXPECT_EQ(Cache.lookup(100, "S"), nullptr); // Oldest: evicted.
   auto Newest = Cache.lookup(Inserts + 99, "S");
   ASSERT_NE(Newest, nullptr);
@@ -88,6 +106,8 @@ TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
 }
 
 TEST(ObservationCache, ByteBoundKeepsOversizedEntries) {
+  telemetry::Counter &EvictEvents = cacheEvents("eviction");
+  const uint64_t Evictions0 = EvictEvents.value();
   ObservationCache Cache;
   auto bytesObs = [](size_t Size, char Fill) {
     service::Observation Obs;
@@ -104,7 +124,7 @@ TEST(ObservationCache, ByteBoundKeepsOversizedEntries) {
     Cache.insert(K, "Programl", bytesObs(MiB, 'a'));
     EXPECT_LE(Cache.bytes(), Budget);
   }
-  EXPECT_GT(Cache.evictions(), 0u);
+  EXPECT_GT(EvictEvents.value(), Evictions0);
   EXPECT_LT(Cache.size(), 96u);
   // An 8 MiB value exceeds a stripe's 4 MiB budget: it is kept as its
   // stripe's only entry, so it is still retrievable.
@@ -119,6 +139,9 @@ TEST(ObservationCache, ByteBoundKeepsOversizedEntries) {
 }
 
 TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
+  telemetry::Counter &HitEvents = cacheEvents("hit");
+  telemetry::Counter &MissEvents = cacheEvents("miss");
+  const uint64_t Lookups0 = HitEvents.value() + MissEvents.value();
   ObservationCache Cache;
   constexpr int NumThreads = 4;
   constexpr int OpsPerThread = 6000;
@@ -145,7 +168,8 @@ TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
   // Each thread performs one lookup per op where I % 3 != 0.
   constexpr uint64_t LookupsPerThread =
       OpsPerThread - (OpsPerThread + 2) / 3;
-  EXPECT_EQ(Cache.hits() + Cache.misses(), NumThreads * LookupsPerThread);
+  EXPECT_EQ(HitEvents.value() + MissEvents.value() - Lookups0,
+            NumThreads * LookupsPerThread);
 }
 
 // -- ServiceBroker -------------------------------------------------------------
@@ -177,6 +201,8 @@ TEST(ServiceBroker, SweepRestartsCrashedShards) {
   BrokerOptions Opts;
   Opts.NumShards = 2;
   Opts.MonitorIntervalMs = 0; // Manual sweeps.
+  telemetry::Counter &Restarted = series("cg_broker_shard_restarts_total");
+  const uint64_t RestartsBefore = Restarted.value();
   ServiceBroker Broker(Opts);
   fault::ScopedFaultPlan Armed(crashAfter({2}));
   auto Client = Broker.makeClient(0);
@@ -187,7 +213,7 @@ TEST(ServiceBroker, SweepRestartsCrashedShards) {
   EXPECT_FALSE(Broker.shardService(1)->crashed());
 
   EXPECT_EQ(Broker.checkShards(), 1u);
-  EXPECT_EQ(Broker.shardRestarts(), 1u);
+  EXPECT_EQ(Restarted.value() - RestartsBefore, 1u);
   EXPECT_FALSE(Broker.shardService(0)->crashed());
   EXPECT_TRUE(Client->heartbeat().isOk());
   EXPECT_EQ(Broker.checkShards(), 0u); // Healthy fleet: no-op.
@@ -198,6 +224,8 @@ TEST(ServiceBroker, MonitorThreadRestartsCrashedShardUnprompted) {
   BrokerOptions Opts;
   Opts.NumShards = 1;
   Opts.MonitorIntervalMs = 5;
+  telemetry::Counter &Restarted = series("cg_broker_shard_restarts_total");
+  const uint64_t RestartsBefore = Restarted.value();
   ServiceBroker Broker(Opts);
   fault::ScopedFaultPlan Armed(crashAfter({1}));
   auto Client = Broker.makeClient(0);
@@ -207,7 +235,7 @@ TEST(ServiceBroker, MonitorThreadRestartsCrashedShardUnprompted) {
   for (int I = 0; I < 200 && Broker.shardService(0)->crashed(); ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   EXPECT_FALSE(Broker.shardService(0)->crashed());
-  EXPECT_GE(Broker.shardRestarts(), 1u);
+  EXPECT_GE(Restarted.value() - RestartsBefore, 1u);
 }
 
 // -- Shared-shard environments -------------------------------------------------
@@ -243,6 +271,8 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
   BrokerOptions BO;
   BO.NumShards = 1;
   BO.MonitorIntervalMs = 0; // Recovery driven purely by the envs.
+  telemetry::Counter &Recovered = series("cg_env_recoveries_total");
+  const uint64_t RecoveriesBefore = Recovered.value();
   ServiceBroker Broker(BO);
   fault::ScopedFaultPlan Armed(crashAfter({5, 12, 19}));
   auto A = core::CompilerEnv::attach(*EnvOpts, Broker.shardService(0),
@@ -261,7 +291,7 @@ TEST(SharedShard, EnvsSurviveEachOthersRecoveries) {
     ASSERT_TRUE(RB.isOk()) << "B step " << Step << ": "
                            << RB.status().toString();
   }
-  EXPECT_GE((*A)->serviceRecoveries() + (*B)->serviceRecoveries(), 1u);
+  EXPECT_GE(Recovered.value() - RecoveriesBefore, 1u);
 
   auto HashA = (*A)->observation()["IrHash"];
   ASSERT_TRUE(HashA.isOk());
@@ -285,6 +315,8 @@ EnvPoolOptions smokePoolOptions(size_t Workers) {
 }
 
 TEST(EnvPool, ResetAllAndStepBatch) {
+  telemetry::Counter &Steps = series("cg_pool_steps_total");
+  const uint64_t StepsBefore = Steps.value();
   auto Pool = EnvPool::create(smokePoolOptions(3));
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
   EXPECT_EQ((*Pool)->size(), 3u);
@@ -300,8 +332,7 @@ TEST(EnvPool, ResetAllAndStepBatch) {
   auto Results = (*Pool)->stepBatch(Actions);
   ASSERT_TRUE(Results.isOk()) << Results.status().toString();
   ASSERT_EQ(Results->size(), 3u);
-  PoolStats Stats = (*Pool)->stats();
-  EXPECT_EQ(Stats.StepsExecuted, 6u);
+  EXPECT_EQ(Steps.value() - StepsBefore, 6u);
 
   auto Bad = (*Pool)->stepBatch({{0}});
   EXPECT_FALSE(Bad.isOk());
@@ -343,13 +374,16 @@ TEST(EnvPool, ObservationCacheDeduplicatesAcrossWorkers) {
   EnvPoolOptions Opts = smokePoolOptions(4);
   // All four workers repeatedly reset the same benchmark and request the
   // same Autophase observation of the same initial state.
+  telemetry::Counter &HitEvents = cacheEvents("hit");
+  telemetry::Counter &MissEvents = cacheEvents("miss");
+  const uint64_t Hits0 = HitEvents.value();
+  const uint64_t Misses0 = MissEvents.value();
   auto Pool = EnvPool::create(Opts);
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
   for (int Round = 0; Round < 3; ++Round)
     ASSERT_TRUE((*Pool)->resetAll().isOk());
-  PoolStats Stats = (*Pool)->stats();
-  EXPECT_GT(Stats.CacheHits, 0u);
-  EXPECT_GT(Stats.CacheMisses, 0u);
+  EXPECT_GT(HitEvents.value(), Hits0);
+  EXPECT_GT(MissEvents.value(), Misses0);
 }
 
 TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
@@ -375,6 +409,11 @@ TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
   Opts.NumWorkers = 4;
   Opts.Broker.NumShards = 2; // Two envs share each crashing shard.
   Opts.Broker.MonitorIntervalMs = 5;
+  telemetry::Counter &EpisodesDone = series("cg_pool_episodes_total");
+  telemetry::Counter &Recovered = series("cg_env_recoveries_total");
+  telemetry::Counter &Restarted = series("cg_broker_shard_restarts_total");
+  const uint64_t EpisodesBefore = EpisodesDone.value();
+  const uint64_t FaultsBefore = Recovered.value() + Restarted.value();
   auto Pool = EnvPool::create(Opts);
   ASSERT_TRUE(Pool.isOk()) << Pool.status().toString();
   fault::ScopedFaultPlan Armed(crashAfter({9, 30, 60}));
@@ -391,12 +430,11 @@ TEST(EnvPool, FaultInjectedCollectLosesNoEpisodes) {
       });
   ASSERT_TRUE(S.isOk()) << S.toString();
 
-  PoolStats Stats = (*Pool)->stats();
-  EXPECT_EQ(Stats.EpisodesCompleted, Episodes); // No episode lost.
+  EXPECT_EQ(EpisodesDone.value() - EpisodesBefore, Episodes); // None lost.
   for (size_t I = 0; I < Episodes; ++I)
     EXPECT_DOUBLE_EQ(Rewards[I], ExpectedReward) << "episode " << I;
   // The fleet really did crash and recover along the way.
-  EXPECT_GE(Stats.EnvRecoveries + Stats.ShardRestarts, 1u);
+  EXPECT_GE(Recovered.value() + Restarted.value() - FaultsBefore, 1u);
 }
 
 TEST(EnvPool, ParallelRolloutCollectsFullTrajectories) {

@@ -14,6 +14,7 @@
 #include "service/CompilerService.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,12 @@ using namespace compiler_gym;
 using namespace compiler_gym::service;
 
 namespace {
+
+/// The process-wide series \p Name; tests diff its value() across a window
+/// that runs one client or env.
+telemetry::Counter &series(const std::string &Name) {
+  return telemetry::MetricsRegistry::global().counter(Name);
+}
 
 datasets::Benchmark testBenchmark() {
   auto B = datasets::DatasetRegistry::instance().resolve(
@@ -218,8 +225,9 @@ TEST(Service, MalformedBenchmarkFailsCleanly) {
 TEST(Service, HeartbeatWorks) {
   auto Service = std::make_shared<CompilerService>();
   ServiceClient Client(Service);
+  const uint64_t Before = series("cg_client_rpcs_total").value();
   EXPECT_TRUE(Client.heartbeat().isOk());
-  EXPECT_EQ(Client.rpcCount(), 1u);
+  EXPECT_EQ(series("cg_client_rpcs_total").value(), Before + 1);
 }
 
 // -- Fault tolerance -----------------------------------------------------------
@@ -255,12 +263,14 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
   Opts.Benchmark = "benchmark://cbench-v1/crc32";
   Opts.ObservationSpace = "none";
   Opts.RewardSpace = "none";
+  telemetry::Counter &Recovered = series("cg_env_recoveries_total");
+  uint64_t Before = Recovered.value();
   auto EnvB = core::make("llvm-v0", Opts);
   ASSERT_TRUE(EnvB.isOk());
   ASSERT_TRUE((*EnvB)->reset().isOk());
   for (int Step = 0; Step < 10; ++Step)
     ASSERT_TRUE((*EnvB)->step(Step % 5).isOk());
-  EXPECT_EQ((*EnvB)->serviceRecoveries(), 0u);
+  EXPECT_EQ(Recovered.value(), Before);
   auto HashB = (*EnvB)->observation()["IrHash"];
   ASSERT_TRUE(HashB.isOk());
 
@@ -270,6 +280,7 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
                         .AfterHits = 7,
                         .MaxFires = 1});
   fault::ScopedFaultPlan Armed(Plan);
+  Before = Recovered.value();
   auto EnvA = core::make("llvm-v0", Opts);
   ASSERT_TRUE(EnvA.isOk());
   ASSERT_TRUE((*EnvA)->reset().isOk());
@@ -278,7 +289,7 @@ TEST(FaultTolerance, EnvRecoversFromBackendCrashTransparently) {
     ASSERT_TRUE(RA.isOk()) << "step " << Step << ": "
                            << RA.status().toString();
   }
-  EXPECT_GE((*EnvA)->serviceRecoveries(), 1u);
+  EXPECT_GE(Recovered.value() - Before, 1u);
   auto HashA = (*EnvA)->observation()["IrHash"];
   ASSERT_TRUE(HashA.isOk());
   EXPECT_EQ(HashA->raw().Str, HashB->raw().Str);
@@ -305,12 +316,14 @@ TEST(FaultTolerance, HangsAreRetriedAsTimeouts) {
                         .DelayMs = 100,
                         .CancelAware = false});
   fault::ScopedFaultPlan Armed(Plan);
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  const uint64_t Before = Retries.value();
   auto Env = core::make("llvm-v0", Opts);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
   auto R = (*Env)->step(0);
   EXPECT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_GE((*Env)->client().retryCount(), 1u);
+  EXPECT_GE(Retries.value() - Before, 1u);
 }
 
 namespace {
@@ -379,6 +392,8 @@ TEST(FaultTolerance, FlakyChannelIsSurvivable) {
   fault::ScopedFaultPlan Armed(Plan);
   Opts.Client.TimeoutMs = 2000;
   Opts.Client.MaxRetries = 8;
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  const uint64_t Before = Retries.value();
   auto Env = core::make("llvm-v0", Opts);
   ASSERT_TRUE(Env.isOk());
   ASSERT_TRUE((*Env)->reset().isOk());
@@ -387,7 +402,7 @@ TEST(FaultTolerance, FlakyChannelIsSurvivable) {
     ASSERT_TRUE(R.isOk()) << "step " << Step << ": "
                           << R.status().toString();
   }
-  EXPECT_GE((*Env)->client().retryCount(), 1u);
+  EXPECT_GE(Retries.value() - Before, 1u);
 }
 
 TEST(FaultTolerance, RetriedRequestsAreDeduplicatedByTheService) {
@@ -455,17 +470,22 @@ TEST(FaultTolerance, GarbledReplyRetryDoesNotDoubleApplyActions) {
   auto Corrupt = std::make_shared<CorruptOneReplyTransport>(Base, 4);
   auto Env = core::CompilerEnv::attach(*EnvOpts, Service, Corrupt);
   ASSERT_TRUE(Env.isOk());
+  // The fault-free reference runs first, so the retry window holds only
+  // the faulted env.
   auto RefEnv = core::make("llvm-v0", MO);
   ASSERT_TRUE(RefEnv.isOk());
-  ASSERT_TRUE((*Env)->reset().isOk());
   ASSERT_TRUE((*RefEnv)->reset().isOk());
+  for (int Step = 0; Step < 6; ++Step)
+    ASSERT_TRUE((*RefEnv)->step(Step % 7).isOk());
+  telemetry::Counter &Retries = series("cg_client_retries_total");
+  const uint64_t Before = Retries.value();
+  ASSERT_TRUE((*Env)->reset().isOk());
   for (int Step = 0; Step < 6; ++Step) {
     auto R = (*Env)->step(Step % 7);
     ASSERT_TRUE(R.isOk()) << "step " << Step << ": "
                           << R.status().toString();
-    ASSERT_TRUE((*RefEnv)->step(Step % 7).isOk());
   }
-  EXPECT_GE((*Env)->client().retryCount(), 1u);
+  EXPECT_GE(Retries.value() - Before, 1u);
   auto Hash = (*Env)->observation()["IrHash"];
   auto RefHash = (*RefEnv)->observation()["IrHash"];
   ASSERT_TRUE(Hash.isOk());

@@ -445,7 +445,7 @@ TEST(TraceE2E, PoolStepProducesStitchedTraceAndRegistryMetrics) {
 
   // stats() is documented safe concurrently with a running batch; hammer
   // it from another thread while the batch runs (the TSan job turns any
-  // unsynchronized recovery-counter read into a failure).
+  // unsynchronized aggregate read into a failure).
   std::atomic<bool> Stop{false};
   std::thread Reader([&] {
     while (!Stop.load(std::memory_order_relaxed)) {

@@ -10,6 +10,7 @@
 
 #include "core/Registry.h"
 #include "runtime/EnvPool.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,12 @@ std::unique_ptr<CompilerEnv> makeLlvm(const std::string &Obs = "none",
   auto Env = make("llvm-v0", Opts);
   EXPECT_TRUE(Env.isOk()) << Env.status().toString();
   return Env.takeValue();
+}
+
+/// RPC attempts across every client in the process; tests diff it across a
+/// window that runs one env.
+telemetry::Counter &rpcs() {
+  return telemetry::MetricsRegistry::global().counter("cg_client_rpcs_total");
 }
 
 // -- Typed descriptors --------------------------------------------------------
@@ -91,37 +98,37 @@ TEST(Views, RepeatQueriesAreCacheHitsUntilNextAction) {
   auto Env = makeLlvm();
   ASSERT_TRUE(Env->reset().isOk());
 
-  uint64_t Before = Env->client().rpcCount();
+  uint64_t Before = rpcs().value();
   auto First = Env->observation()["InstCount"];
   ASSERT_TRUE(First.isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(rpcs().value(), Before + 1);
 
   // Same state: served from the view cache, no RPC.
   uint64_t Hits = Env->observation().cacheHits();
   auto Second = Env->observation()["InstCount"];
   ASSERT_TRUE(Second.isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(rpcs().value(), Before + 1);
   EXPECT_EQ(Env->observation().cacheHits(), Hits + 1);
 
   // An action advances the state epoch: the next query re-fetches.
   ASSERT_TRUE(Env->step(0).isOk());
-  uint64_t AfterStep = Env->client().rpcCount();
+  uint64_t AfterStep = rpcs().value();
   ASSERT_TRUE(Env->observation()["InstCount"].isOk());
-  EXPECT_EQ(Env->client().rpcCount(), AfterStep + 1);
+  EXPECT_EQ(rpcs().value(), AfterStep + 1);
 }
 
 TEST(Views, PrefetchBatchesSpacesIntoOneRpc) {
   auto Env = makeLlvm();
   ASSERT_TRUE(Env->reset().isOk());
-  uint64_t Before = Env->client().rpcCount();
+  uint64_t Before = rpcs().value();
   ASSERT_TRUE(
       Env->observation().prefetch({"Ir", "InstCount", "Autophase"}).isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(rpcs().value(), Before + 1);
   // All three now come from the cache.
   ASSERT_TRUE(Env->observation()["Ir"].isOk());
   ASSERT_TRUE(Env->observation()["InstCount"].isOk());
   ASSERT_TRUE(Env->observation()["Autophase"].isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(rpcs().value(), Before + 1);
 }
 
 TEST(Views, CacheSurvivesFork) {
@@ -133,12 +140,11 @@ TEST(Views, CacheSurvivesFork) {
 
   auto Fork = Env->fork();
   ASSERT_TRUE(Fork.isOk()) << Fork.status().toString();
-  // The clone shares the parent's client, so RPC accounting is global:
-  // the clone's first query of a cached space must add zero RPCs.
-  uint64_t Before = Env->client().rpcCount();
+  // The clone's first query of a cached space must add zero RPCs.
+  uint64_t Before = rpcs().value();
   auto ForkHash = (*Fork)->observation()["IrHash"];
   ASSERT_TRUE(ForkHash.isOk());
-  EXPECT_EQ(Env->client().rpcCount(), Before);
+  EXPECT_EQ(rpcs().value(), Before);
   EXPECT_EQ(ForkHash->raw().Str, Hash->raw().Str);
 
   // Stepping the clone invalidates only the clone's cache.
@@ -209,10 +215,10 @@ TEST(Views, DerivedSpaceRidesTheStepRpc) {
 
   // The derived space's declared dependencies travel in the step RPC; the
   // client-side computation then runs entirely against the primed cache.
-  uint64_t Before = Env->client().rpcCount();
+  uint64_t Before = rpcs().value();
   auto R = Env->step({0}, {"AutophaseShare"});
   ASSERT_TRUE(R.isOk()) << R.status().toString();
-  EXPECT_EQ(Env->client().rpcCount(), Before + 1);
+  EXPECT_EQ(rpcs().value(), Before + 1);
   ASSERT_EQ(R->Observations.size(), 1u);
   EXPECT_EQ(R->Observations[0].first, "AutophaseShare");
   EXPECT_TRUE(R->Observations[0].second.asDoubleList().isOk());
