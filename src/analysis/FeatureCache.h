@@ -90,8 +90,7 @@ public:
   /// time, so every value-based artifact (count vectors, embedding
   /// segment, graph fragment — whose cross-function references are
   /// symbolic) stays valid under the new key, and the aggregates are not
-  /// disturbed. Also used in reverse when a planned mutation turned out
-  /// to be a no-op and the original shared payload is reinstated.
+  /// disturbed.
   void functionReplaced(const ir::Function *From, const ir::Function *To);
 
   /// Marks every function's artifacts in \p Mask stale (module-level

@@ -381,10 +381,11 @@ uint64_t LlvmSession::stateKey() {
     // request.
     uint64_t Key = hashCombine(fnv1a(Bench.Uri), Mod->hash().low64());
     CachedStateKey = Key ? Key : 1;
-    // Every newly keyed state is published as a restorable snapshot: a
-    // frozen structural share, O(#functions) to publish. This is what a
-    // recovering environment restores instead of replaying its actions.
-    ir::SnapshotStore::global().put(*CachedStateKey, Mod->share(),
+    // Every newly keyed state is published as a restorable snapshot:
+    // freeze(), O(#functions), which leaves the session its unchanged
+    // copies. This is what a recovering environment restores instead of
+    // replaying its actions.
+    ir::SnapshotStore::global().put(*CachedStateKey, Mod->freeze(),
                                     Bench.Uri);
   }
   LastExposedKey = *CachedStateKey;
@@ -425,8 +426,9 @@ StatusOr<std::unique_ptr<CompilationSession>> LlvmSession::fork() {
   Clone->Mod = Mod ? Mod->share() : nullptr;
   Clone->rebindModule();
   if (PM && Clone->PM) {
-    // Shared clean payloads mean the parent's cached dominator trees,
-    // loop sets and feature vectors remain valid in the child.
+    // The child shares the payloads the parent's feature vectors
+    // describe. Its first pass on a function copies it, so the parent's
+    // dominator trees would be dropped unread and are not adopted.
     Clone->PM->analysisManager().adoptFrom(PM->analysisManager());
   }
   Clone->CachedStateKey = CachedStateKey;

@@ -18,6 +18,7 @@ using namespace compiler_gym::ir;
 Function *Module::createFunction(std::string FnName, Type ReturnType) {
   Funcs.push_back(std::make_shared<Function>(std::move(FnName), ReturnType));
   Funcs.back()->setParent(this);
+  Twins.emplace_back();
   return Funcs.back().get();
 }
 
@@ -35,6 +36,7 @@ void Module::eraseFunction(Function *F) {
   auto It = std::find_if(Funcs.begin(), Funcs.end(),
                          [&](const auto &P) { return P.get() == F; });
   assert(It != Funcs.end() && "function not in module");
+  Twins.erase(Twins.begin() + (It - Funcs.begin()));
   Funcs.erase(It);
 }
 
@@ -159,7 +161,7 @@ void cloneFunctionBody(
 
 } // namespace
 
-std::shared_ptr<Function> Module::unshareFunction(size_t Idx) {
+const Function *Module::unshareFunction(size_t Idx) {
   assert(Idx < Funcs.size() && "function index out of range");
   std::shared_ptr<Function> Old = Funcs[Idx];
   auto Copy = std::make_shared<Function>(Old->name(), Old->returnType());
@@ -175,13 +177,8 @@ std::shared_ptr<Function> Module::unshareFunction(size_t Idx) {
   });
 
   Funcs[Idx] = std::move(Copy);
-  return Old;
-}
-
-void Module::restoreFunction(size_t Idx, std::shared_ptr<Function> Original) {
-  assert(Idx < Funcs.size() && "function index out of range");
-  assert(Original && "restoring a null payload");
-  Funcs[Idx] = std::move(Original);
+  Twins[Idx] = std::move(Old);
+  return Twins[Idx].get();
 }
 
 std::unique_ptr<Module> Module::clone() const {
@@ -216,8 +213,21 @@ std::unique_ptr<Module> Module::clone() const {
 std::unique_ptr<Module> Module::share() const {
   auto Out = std::make_unique<Module>(Name);
   Out->Funcs = Funcs;     // Payloads aliased; COW on first mutation.
+  Out->Twins.resize(Funcs.size());
   Out->Globals = Globals; // Globals are shared for the module's lifetime.
   Out->P = P;             // Pools detach on first insert.
+  return Out;
+}
+
+std::unique_ptr<Module> Module::freeze() const {
+  auto Out = std::make_unique<Module>(Name);
+  Out->Funcs.reserve(Funcs.size());
+  for (size_t I = 0; I < Funcs.size(); ++I)
+    Out->Funcs.push_back(Twins[I] && !isFunctionShared(I) ? Twins[I]
+                                                          : Funcs[I]);
+  Out->Twins.resize(Funcs.size());
+  Out->Globals = Globals;
+  Out->P = P;
   return Out;
 }
 

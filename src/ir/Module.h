@@ -12,15 +12,17 @@
 ///    remapped. O(|module|).
 ///  * share() — structural sharing: the new module references the same
 ///    per-function payloads and the same uniqued-symbol pools. O(#functions)
-///    pointer copies, which backs the O(1) environment fork() operator and
-///    the crash-recovery snapshot store.
+///    pointer copies, which backs the O(1) environment fork() operator.
 ///
 /// A shared function payload is immutable by contract: mutation goes
 /// through the pass layer, which calls unshareFunction() (copy-on-write)
-/// before handing a function to a transform. Cross-function call operands
-/// are name-based (FunctionRef stores the callee's name, resolved against
-/// the enclosing module), so a COW copy of one function never invalidates
-/// call sites in functions still shared with other modules.
+/// before handing a function to a transform, and keeps the copy. Until the
+/// copy changes, its slot keeps the original as a frozen twin, which
+/// freeze() hands to the crash-recovery snapshot store in its place.
+/// Cross-function call operands are name-based (FunctionRef stores the
+/// callee's name, resolved against the enclosing module), so a COW copy of
+/// one function never invalidates call sites in functions still shared
+/// with other modules.
 ///
 /// Modules are hashable: hash() digests the content the printer renders in
 /// one read-only walk, without building the text. The digest backs state
@@ -71,17 +73,16 @@ public:
   }
 
   /// Copy-on-write: replaces the (shared) payload at \p Idx with a deep
-  /// copy owned exclusively by this module and returns it. Operands that
-  /// point into the shared symbol pools (constants, globals, function
-  /// refs) are NOT remapped — pool identity is stable across a fork
-  /// family. Returns the original shared payload so the caller can revert
-  /// the slot if the planned mutation turns out to be a no-op.
-  std::shared_ptr<Function> unshareFunction(size_t Idx);
+  /// copy owned exclusively by this module. Operands that point into the
+  /// shared symbol pools (constants, globals, function refs) are NOT
+  /// remapped — pool identity is stable across a fork family. Returns the
+  /// original, which the slot keeps as the copy's frozen twin until
+  /// functionChanged(\p Idx).
+  const Function *unshareFunction(size_t Idx);
 
-  /// Reverts a COW performed by unshareFunction(): reinstates \p Original
-  /// as the payload of slot \p Idx, destroying the copy. Only valid when
-  /// the copy was never mutated.
-  void restoreFunction(size_t Idx, std::shared_ptr<Function> Original);
+  /// Every transform that changes the payload at \p Idx must report it
+  /// here, so freeze() stops using the stale frozen twin.
+  void functionChanged(size_t Idx) { Twins[Idx].reset(); }
 
   // -- Globals -------------------------------------------------------------
   GlobalVariable *createGlobal(std::string GlobalName, uint32_t SizeWords);
@@ -113,6 +114,12 @@ public:
   /// function payload, global and pool entry; first mutation of a shared
   /// function triggers unshareFunction() in the pass layer.
   std::unique_ptr<Module> share() const;
+
+  /// Like share(), but every payload is immutable: an exclusive slot with
+  /// a frozen twin contributes the twin, so this module keeps its copy.
+  /// Any other slot contributes its payload, so a changed exclusive one is
+  /// handed over and the next pass copies it once more. Never clones.
+  std::unique_ptr<Module> freeze() const;
 
   /// Stable state identity for the transition database, the caches keyed
   /// on LlvmSession::stateKey() and nondeterminism detection. One walk of
@@ -149,6 +156,8 @@ private:
 
   std::string Name;
   std::vector<std::shared_ptr<Function>> Funcs;
+  /// Parallel to Funcs: each unchanged COW copy's frozen twin, else null.
+  std::vector<std::shared_ptr<Function>> Twins;
   std::vector<std::shared_ptr<GlobalVariable>> Globals;
   std::shared_ptr<Pools> P;
 };

@@ -10,13 +10,14 @@
 /// Module::hash() — the same identity the observation caches and the
 /// transition database use).
 ///
-/// A snapshot is a frozen structural share (Module::share() of the stored
-/// module): publishing one costs O(#functions) pointer copies, restoring
-/// one costs the same, and mutation after a restore copy-on-writes in the
-/// pass layer. This is what makes crash recovery replay-free: a recovering
-/// environment asks the (restarted) service to restore its last state key
-/// instead of replaying the episode's action history, and falls back to
-/// replay only when the snapshot was evicted.
+/// A snapshot is a module whose function payloads are all immutable
+/// (Module::freeze() of the session's module): publishing one costs
+/// O(#functions) pointer copies, restoring one (a share()) costs the same,
+/// and mutation after a restore copy-on-writes in the pass layer. This is
+/// what makes crash recovery replay-free: a recovering environment asks
+/// the (restarted) service to restore its last state key instead of
+/// replaying the episode's action history, and falls back to replay only
+/// when the snapshot was evicted.
 ///
 /// The store is bounded (entry count and approximate bytes, LRU eviction)
 /// and thread-safe: sessions on different service shards publish and
@@ -61,7 +62,7 @@ public:
   static SnapshotStore &global();
 
   /// Publishes \p Mod under \p Key. The module must no longer be mutated
-  /// through the stored handle (callers pass a fresh share()). Re-publishing
+  /// through the stored handle (callers pass a fresh freeze()). Re-publishing
   /// an existing key refreshes its LRU position only.
   void put(uint64_t Key, std::shared_ptr<const Module> Mod,
            std::string BenchmarkUri);

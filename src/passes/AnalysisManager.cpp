@@ -141,44 +141,16 @@ void AnalysisManager::invalidateAll(const PreservedAnalyses &PA) {
 
 void AnalysisManager::functionErased(const Function *F) {
   Cache.erase(F);
-  CowStash.erase(F);
   Features.functionErased(F);
 }
 
 void AnalysisManager::cowDetached(const Function *Old, const Function *Copy) {
-  auto It = Cache.find(Old);
-  if (It != Cache.end()) {
-    CowStash[Old] = std::move(It->second);
-    Cache.erase(It);
-  }
+  Cache.erase(Old);
   Features.functionReplaced(Old, Copy);
-}
-
-void AnalysisManager::cowReverted(const Function *Copy, const Function *Old) {
-  // Analyses computed against the short-lived copy would dangle.
-  Cache.erase(Copy);
-  Features.functionReplaced(Copy, Old);
-  auto It = CowStash.find(Old);
-  if (It != CowStash.end()) {
-    Cache[Old] = std::move(It->second);
-    CowStash.erase(It);
-  }
-}
-
-void AnalysisManager::cowCommitted(const Function *Old) {
-  CowStash.erase(Old);
 }
 
 void AnalysisManager::adoptFrom(const AnalysisManager &O) {
   Cache.clear();
-  CowStash.clear();
-  for (const auto &[F, E] : O.Cache) {
-    Entry &N = Cache[F];
-    if (E.DT)
-      N.DT = std::make_unique<DominatorTree>(*E.DT);
-    if (E.Loops)
-      N.Loops = std::make_unique<std::vector<NaturalLoop>>(*E.Loops);
-  }
   Features = O.Features;
 }
 

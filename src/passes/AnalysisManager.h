@@ -169,25 +169,16 @@ public:
 
   // -- Copy-on-write hooks ---------------------------------------------------
   /// A shared function payload \p Old was replaced by the COW copy \p Copy
-  /// (Module::unshareFunction). Value-based feature artifacts are rekeyed
-  /// to the structurally identical copy; the CFG analyses (whose
-  /// BasicBlock pointers live in the old payload) are stashed aside so
-  /// cowReverted() can reinstate them if the planned mutation turns out to
-  /// be a no-op, and discarded by cowCommitted() otherwise.
+  /// (Module::unshareFunction), which the module keeps. Value-based feature
+  /// artifacts are rekeyed to the structurally identical copy; the CFG
+  /// analyses, whose BasicBlock pointers live in the old payload, are
+  /// dropped and rebuilt on the copy when a pass asks for them.
   void cowDetached(const ir::Function *Old, const ir::Function *Copy);
 
-  /// The COW copy \p Copy was never mutated and the original payload
-  /// \p Old is back in its slot: feature artifacts are rekeyed back and
-  /// the stashed CFG analyses reinstated.
-  void cowReverted(const ir::Function *Copy, const ir::Function *Old);
-
-  /// The COW copy was mutated and kept; the stash for \p Old is dropped.
-  void cowCommitted(const ir::Function *Old);
-
-  /// Warms this manager from \p O after an environment fork: cached CFG
-  /// analyses are deep-copied (their BasicBlock pointers refer into
-  /// payloads the forked module shares, so they stay valid) and the
-  /// feature cache is copied wholesale. Telemetry counters start fresh.
+  /// Warms this manager from \p O after an environment fork: the feature
+  /// cache is copied wholesale. CFG analyses are not: every payload of the
+  /// forked module is shared, so the first pass to touch a function copies
+  /// it and would drop the parent's trees unread.
   void adoptFrom(const AnalysisManager &O);
 
   /// Exact incremental dominator-tree maintenance: the linear-chain merge
@@ -226,9 +217,6 @@ private:
   };
 
   std::unordered_map<const ir::Function *, Entry> Cache;
-  /// CFG analyses parked by cowDetached(), keyed by the original (shared)
-  /// payload, awaiting cowReverted()/cowCommitted().
-  std::unordered_map<const ir::Function *, Entry> CowStash;
   analysis::FeatureCache Features;
   const util::CancelToken *Cancel = nullptr;
 };

@@ -46,9 +46,9 @@ public:
       if (Sites.empty())
         continue;
       if (M.isFunctionShared(Idx)) {
-        std::shared_ptr<Function> Old = M.unshareFunction(Idx);
-        AM.functionErased(Old.get());
+        const Function *Old = M.unshareFunction(Idx);
         Caller = M.functions()[Idx].get();
+        AM.cowDetached(Old, Caller);
         Sites = inlinableSites(M, *Caller);
       }
       for (Instruction *Call : Sites) {
@@ -57,6 +57,7 @@ public:
         inlineSite(M, *Caller, Call->parent(), Call);
       }
       // Only callers mutate; callees and bystanders keep their analyses.
+      M.functionChanged(Idx);
       AM.invalidate(*Caller, PreservedAnalyses::none());
       Changed = true;
     }

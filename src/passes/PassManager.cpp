@@ -7,6 +7,7 @@
 #include "passes/PassManager.h"
 
 #include "fault/FaultRegistry.h"
+#include "ir/Printer.h"
 #include "telemetry/MetricsRegistry.h"
 #include "telemetry/Trace.h"
 
@@ -69,8 +70,14 @@ StatusOr<bool> PassManager::run(Pass &P) {
   // following only the PassResult contract is conservatively correct.
   if (R.Changed && !R.InvalidationApplied)
     AM.invalidateAll(R.Preserved);
-  if (VerifyPreservation)
+  if (VerifyPreservation) {
     CG_RETURN_IF_ERROR(AM.verifyCachedAnalyses(M, P.name()));
+    // Snapshots are M.freeze(): a pass that changed a copy without
+    // reporting it would leave a snapshot unlike the state its key names.
+    if (ir::printModule(*M.freeze()) != ir::printModule(M))
+      return internalError("pass '" + P.name() +
+                           "' changed a function but did not report it");
+  }
   // Cancelled mid-pass (between functions): bookkeeping above is still
   // applied for the functions that did run, then the abort surfaces so the
   // session can revert to its last committed state.

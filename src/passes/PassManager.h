@@ -71,8 +71,9 @@ public:
   }
 
   /// After every pass run, recompute each analysis the pass claimed to
-  /// preserve and fail the run on mismatch. Defaults to on in debug
-  /// (!NDEBUG) builds; expensive, so Release builds leave it off.
+  /// preserve, and check that the module's freeze() prints the same as the
+  /// module; fail the run on mismatch. Defaults to on in debug (!NDEBUG)
+  /// builds; expensive, so Release builds leave it off.
   void setVerifyPreservation(bool Enabled) { VerifyPreservation = Enabled; }
   bool verifyPreservation() const { return VerifyPreservation; }
 

@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <map>
+#include <tuple>
 
 using namespace compiler_gym;
 using namespace compiler_gym::ir;
@@ -196,6 +197,21 @@ TEST(PassManager, UnknownPassIsNotFound) {
   EXPECT_EQ(R.status().code(), StatusCode::NotFound);
 }
 
+/// Erases the first unused instruction without side effects in \p F;
+/// false if there is none.
+bool eraseUnusedPureInstruction(Function &F) {
+  for (const auto &BB : F.blocks()) {
+    for (size_t I = 0; I < BB->size(); ++I) {
+      Instruction *Inst = BB->instructions()[I].get();
+      if (Inst->isTerminator() || F.hasUses(Inst) || Inst->hasSideEffects())
+        continue;
+      BB->erase(I);
+      return true;
+    }
+  }
+  return false;
+}
+
 /// A pass that changes the CFG (merges a trivial chain) but claims it
 /// preserved everything — the lie the debug checker must catch.
 class LyingPass : public FunctionPass {
@@ -206,17 +222,20 @@ public:
     // Cut an edge by rewriting the entry terminator to branch to itself...
     // too destructive; instead delete a non-terminator instruction, which
     // invalidates feature vectors, while claiming even features survived.
-    for (const auto &BB : F.blocks()) {
-      for (size_t I = 0; I < BB->size(); ++I) {
-        Instruction *Inst = BB->instructions()[I].get();
-        if (Inst->isTerminator() || F.hasUses(Inst) ||
-            Inst->hasSideEffects())
-          continue;
-        BB->erase(I);
-        return PassResult::make(true, PreservedAnalyses::all()); // The lie.
-      }
-    }
-    return PassResult::make(false, PreservedAnalyses::all());
+    bool Changed = eraseUnusedPureInstruction(F);
+    return PassResult::make(Changed, PreservedAnalyses::all()); // The lie.
+  }
+};
+
+/// Changes a function but reports no change at all, so the module keeps
+/// the copy's frozen twin, and a snapshot would keep the old body.
+class SilentMutationPass : public FunctionPass {
+public:
+  std::string name() const override { return "silent-mutation-pass"; }
+
+  PassResult runOnFunction(Function &F, AnalysisManager &) override {
+    (void)eraseUnusedPureInstruction(F);
+    return PassResult::make(false, PreservedAnalyses::all()); // The lie.
   }
 };
 
@@ -276,6 +295,21 @@ TEST(PassManager, CatchesDomTreePreservationLie) {
   auto R = PM.run(Liar);
   ASSERT_FALSE(R.isOk());
   EXPECT_EQ(R.status().code(), StatusCode::Internal);
+}
+
+TEST(PassManager, CatchesUnreportedMutation) {
+  auto M = parse(TwoFunctionModule);
+  // A live share makes every payload shared, so the pass runs on copies
+  // whose originals stay behind as frozen twins.
+  auto Shared = M->share();
+  PassManager PM(*M);
+  PM.setVerifyPreservation(true);
+  SilentMutationPass Liar;
+  auto R = PM.run(Liar);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.status().code(), StatusCode::Internal);
+  EXPECT_NE(R.status().toString().find("silent-mutation-pass"),
+            std::string::npos);
 }
 
 /// Claims loop info survived (preserve(AK_Loops) alone, so the dominator
@@ -382,15 +416,20 @@ struct DiffCase {
   const char *Dataset;
 };
 
-class DifferentialInvalidation : public ::testing::TestWithParam<DiffCase> {};
+/// A corpus program, and whether a share of it stays alive during each
+/// run: then the pass runs on copies of shared payloads, and the
+/// frozen-twin check compares the module with its freeze().
+class DifferentialInvalidation
+    : public ::testing::TestWithParam<std::tuple<DiffCase, bool>> {};
 
 TEST_P(DifferentialInvalidation, CachedAnalysesEqualFromScratch) {
-  const DiffCase &C = GetParam();
+  const auto &[C, Shared] = GetParam();
   datasets::ProgramStyle Style = datasets::styleForDataset(C.Dataset);
 
   for (const std::string &Name : PassRegistry::instance().allNames()) {
     auto M = datasets::generateProgram(C.ProgramSeed, Style, "m");
     ASSERT_NE(M, nullptr);
+    std::unique_ptr<Module> Share = Shared ? M->share() : nullptr;
     PassManager PM(*M);
     // The built-in checker verifies preserved *cached* analyses right
     // after the run; warm every analysis first so nothing escapes it.
@@ -451,7 +490,8 @@ const DiffCase Corpus[] = {{201, "benchmark://csmith-v0"},
                            {204, "benchmark://npb-v0"}};
 
 INSTANTIATE_TEST_SUITE_P(Corpus, DifferentialInvalidation,
-                         ::testing::ValuesIn(Corpus));
+                         ::testing::Combine(::testing::ValuesIn(Corpus),
+                                            ::testing::Bool()));
 
 // -- State digest over the corpus --------------------------------------------
 
@@ -585,6 +625,38 @@ TEST(LlvmSessionCaching, ForkGetsIndependentCaches) {
   EXPECT_NE(Clone->passManager(), Session.passManager());
 }
 
+TEST(LlvmSessionCaching, AnalysesSurviveAcrossSteps) {
+  // Every step publishes a snapshot through stateKey(), as the service
+  // does. The session keeps its copies of the shared benchmark payloads,
+  // so once gvn stops changing anything, the next step reuses the
+  // dominator trees cached on those copies instead of rebuilding them.
+  auto B = datasets::DatasetRegistry::instance().resolve(
+      "benchmark://cbench-v1/qsort");
+  ASSERT_TRUE(B.isOk());
+  envs::LlvmSession Session;
+  const service::ActionSpace Space = Session.getActionSpaces()[0];
+  ASSERT_TRUE(Session.init(Space, *B).isOk());
+  telemetry::Counter &DomCompute = lookups("domtree", "compute");
+  telemetry::Counter &DomHit = lookups("domtree", "hit");
+  uint64_t Computed = 0, Hits = 0;
+  for (const char *Pass : {"mem2reg", "gvn", "gvn", "licm-promote"}) {
+    auto It = std::find(Space.ActionNames.begin(), Space.ActionNames.end(),
+                        Pass);
+    ASSERT_NE(It, Space.ActionNames.end()) << Pass;
+    service::Action A;
+    A.Index = static_cast<int>(It - Space.ActionNames.begin());
+    bool End = false, SpaceChanged = false;
+    const uint64_t Computed0 = DomCompute.value();
+    const uint64_t Hits0 = DomHit.value();
+    ASSERT_TRUE(Session.applyAction(A, End, SpaceChanged).isOk()) << Pass;
+    (void)Session.stateKey();
+    Computed = DomCompute.value() - Computed0;
+    Hits = DomHit.value() - Hits0;
+  }
+  EXPECT_EQ(Computed, 0u) << "licm-promote rebuilt dominator trees";
+  EXPECT_GT(Hits, 0u);
+}
+
 /// The wire bytes of one observation: the unit the service's cache stores
 /// and diffs deltas against.
 std::string wireBytes(const service::Observation &O) {
@@ -598,8 +670,9 @@ TEST(LlvmSessionCaching, DeterministicSpacesAreAFunctionOfStateKey) {
   // stateKey(), and diffs wire deltas against the value cached under the
   // client's base key. That is sound only if each deterministic space is
   // byte-equal for equal keys however the state was reached: incrementally
-  // in a warm session, in a fork carrying the parent's analysis caches, or
-  // by a cold replay into a fresh session.
+  // in a warm session, in a fork carrying the parent's feature caches, by
+  // restoring the snapshot the key names into a fresh session, or by a
+  // cold replay into a fresh session.
   const char *Programs[] = {
       "benchmark://cbench-v1/crc32", "benchmark://csmith-v0/7",
       "benchmark://github-v0/3", "benchmark://llvm-stress-v0/5"};
@@ -608,8 +681,8 @@ TEST(LlvmSessionCaching, DeterministicSpacesAreAFunctionOfStateKey) {
   const size_t ColdPrefixes[] = {2, 6, 12};
 
   std::map<std::pair<uint64_t, std::string>, std::string> Seen;
-  // Forks and cold replays retrace the warm session's actions, so every
-  // state they reach must already be keyed, and is compared.
+  // Restores, forks and cold replays retrace the warm session's actions,
+  // so every state they reach must already be keyed, and is compared.
   auto observeAll = [&](envs::LlvmSession &S, const std::string &Where,
                         bool Revisit) {
     uint64_t Key = S.stateKey();
@@ -662,6 +735,11 @@ TEST(LlvmSessionCaching, DeterministicSpacesAreAFunctionOfStateKey) {
       for (size_t I = 0; I < EpisodeLength; ++I) {
         applyAll(Warm, {Actions[I]});
         observeAll(Warm, Where + std::to_string(I + 1) + " (warm)", false);
+        envs::LlvmSession Restored;
+        ASSERT_TRUE(Restored.init(Space, *B).isOk());
+        ASSERT_TRUE(Restored.restore(Warm.stateKey()));
+        observeAll(Restored, Where + std::to_string(I + 1) + " (restored)",
+                   true);
         if (I + 1 == ForkAt) {
           auto Forked = Warm.fork();
           ASSERT_TRUE(Forked.isOk());

@@ -95,18 +95,22 @@ TEST(ModuleShare, PassMutationCowIsolatesParentAndSiblings) {
   // S1 detached its copy; M and S2 still alias the original payload.
   EXPECT_NE(S1->functions()[0].get(), M->functions()[0].get());
   EXPECT_EQ(S2->functions()[0].get(), M->functions()[0].get());
+  // A snapshot takes the changed copy itself: freeze() never clones.
+  EXPECT_EQ(S1->freeze()->functions()[0].get(), S1->functions()[0].get());
 }
 
-TEST(ModuleShare, NoopPassKeepsPayloadShared) {
+TEST(ModuleShare, NoopPassKeepsOriginalAsFrozenTwin) {
   auto M = foldableModule();
   auto S = M->share();
-  // mem2reg has nothing to do here: the COW barrier must revert its
-  // speculative unshare so the payload stays aliased (no silent deep copy
-  // on every no-op pass).
+  // mem2reg has nothing to do here. The pass layer keeps its copy, so
+  // later passes run on it in place, and the untouched original stands in
+  // for the copy in a snapshot: a no-op pass puts no copy into one.
   auto Changed = passes::runPass(*S, "mem2reg");
   ASSERT_TRUE(Changed.isOk());
   EXPECT_FALSE(*Changed);
-  EXPECT_EQ(S->functions()[0].get(), M->functions()[0].get());
+  EXPECT_EQ(printModule(*S), printModule(*M));
+  EXPECT_FALSE(S->isFunctionShared(0));
+  EXPECT_EQ(S->freeze()->functions()[0].get(), M->functions()[0].get());
 }
 
 // -- SnapshotStore -------------------------------------------------------------
