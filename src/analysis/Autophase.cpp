@@ -6,9 +6,10 @@
 
 #include "analysis/Autophase.h"
 
+#include "ir/CFG.h"
+
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace compiler_gym;
 using namespace compiler_gym::analysis;
@@ -113,15 +114,7 @@ std::vector<int64_t> analysis::autophaseFunction(const ir::Function &F) {
   std::vector<int64_t> V(AutophaseDims, 0);
   {
     auto UseCounts = F.computeUseCounts();
-    // One adjacency pass: per-block predecessor lists (the naive per-block
-    // predecessors() scan would make this extractor quadratic in blocks).
-    std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> Preds;
-    for (const auto &BBPtr : F.blocks()) {
-      std::unordered_set<BasicBlock *> Seen;
-      for (BasicBlock *Succ : BBPtr->successors())
-        if (Seen.insert(Succ).second)
-          Preds[Succ].push_back(BBPtr.get());
-    }
+    const PredecessorTable Preds(F);
     for (const auto &BBPtr : F.blocks()) {
       const BasicBlock &BB = *BBPtr;
       ++V[BBCount];

@@ -6,10 +6,6 @@
 
 #include "ir/BasicBlock.h"
 
-#include "ir/Function.h"
-
-#include <algorithm>
-
 using namespace compiler_gym;
 using namespace compiler_gym::ir;
 
@@ -57,18 +53,6 @@ Instruction *BasicBlock::terminator() const {
 std::vector<BasicBlock *> BasicBlock::successors() const {
   Instruction *Term = terminator();
   return Term ? Term->successors() : std::vector<BasicBlock *>();
-}
-
-std::vector<BasicBlock *> BasicBlock::predecessors() const {
-  std::vector<BasicBlock *> Preds;
-  if (!Parent)
-    return Preds;
-  for (const auto &BB : Parent->blocks()) {
-    std::vector<BasicBlock *> Succs = BB->successors();
-    if (std::find(Succs.begin(), Succs.end(), this) != Succs.end())
-      Preds.push_back(BB.get());
-  }
-  return Preds;
 }
 
 size_t BasicBlock::firstNonPhi() const {

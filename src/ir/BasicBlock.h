@@ -63,11 +63,9 @@ public:
   /// The terminator, or nullptr if the block is empty / malformed.
   Instruction *terminator() const;
 
-  /// Successor blocks (from the terminator).
+  /// Successor blocks (from the terminator). Predecessors come from an
+  /// ir::PredecessorTable (ir/CFG.h), built once per function.
   std::vector<BasicBlock *> successors() const;
-
-  /// Predecessor blocks, computed by scanning the parent function.
-  std::vector<BasicBlock *> predecessors() const;
 
   /// Phi-node prefix length (phis must be grouped at the top).
   size_t firstNonPhi() const;

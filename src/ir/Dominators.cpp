@@ -6,6 +6,8 @@
 
 #include "ir/Dominators.h"
 
+#include "ir/CFG.h"
+
 #include <algorithm>
 #include <deque>
 
@@ -15,114 +17,147 @@ using namespace compiler_gym::ir;
 DominatorTree::DominatorTree(const Function &F) {
   if (F.empty())
     return;
-  BasicBlock *Entry = F.entry();
+  constexpr unsigned None = ~0u;
+  PredecessorTable Preds(F);
 
-  // Postorder DFS over reachable blocks.
-  std::vector<BasicBlock *> Postorder;
-  std::unordered_set<BasicBlock *> Visited;
-  // Iterative DFS with explicit (block, successor-cursor) stack.
-  std::vector<std::pair<BasicBlock *, size_t>> Stack;
-  Stack.emplace_back(Entry, 0);
-  Visited.insert(Entry);
+  // Postorder DFS over reachable blocks, by dense table index, with an
+  // explicit (block, successor-cursor) stack.
+  std::vector<unsigned> Postorder;
+  std::vector<char> Visited(Preds.size(), 0);
+  std::vector<std::pair<unsigned, unsigned>> Stack;
+  Stack.emplace_back(0, 0); // The entry is block 0.
+  Visited[0] = 1;
   while (!Stack.empty()) {
-    auto &[BB, Cursor] = Stack.back();
-    std::vector<BasicBlock *> Succs = BB->successors();
-    if (Cursor < Succs.size()) {
-      BasicBlock *Next = Succs[Cursor++];
-      if (Visited.insert(Next).second)
+    auto &[Idx, Cursor] = Stack.back();
+    const Instruction *Term = Preds.block(Idx)->terminator();
+    if (Term && Cursor < Term->numSuccessors()) {
+      unsigned Next = Preds.index(Term->successor(Cursor++));
+      if (Next != PredecessorTable::npos && !Visited[Next]) {
+        Visited[Next] = 1;
         Stack.emplace_back(Next, 0);
+      }
       continue;
     }
-    Postorder.push_back(BB);
+    Postorder.push_back(Idx);
     Stack.pop_back();
   }
-  for (size_t I = 0; I < Postorder.size(); ++I)
-    PostorderIndex[Postorder[I]] = static_cast<int>(I);
-  Rpo.assign(Postorder.rbegin(), Postorder.rend());
+
+  // Nodes are reverse-postorder positions: the entry is node 0 and every
+  // node's idom has a smaller number.
+  const unsigned N = static_cast<unsigned>(Postorder.size());
+  std::vector<unsigned> NodeOf(Preds.size(), None);
+  Rpo.reserve(N);
+  Node.reserve(N);
+  for (unsigned I = 0; I < N; ++I) {
+    unsigned Idx = Postorder[N - 1 - I];
+    NodeOf[Idx] = I;
+    Rpo.push_back(Preds.block(Idx));
+    Node.emplace(Rpo.back(), I);
+  }
+  NodeBlock = Rpo;
+
+  // Reachable predecessors of each node, as node numbers.
+  std::vector<unsigned> PredStart(N + 1, 0), PredNodes;
+  for (unsigned V = 0; V < N; ++V) {
+    for (BasicBlock *P : Preds[Rpo[V]])
+      if (unsigned PN = NodeOf[Preds.index(P)]; PN != None)
+        PredNodes.push_back(PN);
+    PredStart[V + 1] = static_cast<unsigned>(PredNodes.size());
+  }
 
   // Cooper-Harvey-Kennedy iteration.
-  auto intersect = [&](BasicBlock *A, BasicBlock *B) {
+  auto intersect = [&](unsigned A, unsigned B) {
     while (A != B) {
-      while (PostorderIndex.at(A) < PostorderIndex.at(B))
-        A = Idom.at(A);
-      while (PostorderIndex.at(B) < PostorderIndex.at(A))
-        B = Idom.at(B);
+      while (A > B)
+        A = IdomNode[A];
+      while (B > A)
+        B = IdomNode[B];
     }
     return A;
   };
-
-  Idom[Entry] = Entry;
+  IdomNode.assign(N, None);
+  IdomNode[0] = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (BasicBlock *BB : Rpo) {
-      if (BB == Entry)
-        continue;
-      BasicBlock *NewIdom = nullptr;
-      for (BasicBlock *Pred : BB->predecessors()) {
-        if (!PostorderIndex.count(Pred))
-          continue; // Unreachable predecessor.
-        if (!Idom.count(Pred))
+    for (unsigned V = 1; V < N; ++V) {
+      unsigned NewIdom = None;
+      for (unsigned K = PredStart[V]; K < PredStart[V + 1]; ++K) {
+        unsigned P = PredNodes[K];
+        if (IdomNode[P] == None)
           continue; // Not yet processed this round.
-        NewIdom = NewIdom ? intersect(NewIdom, Pred) : Pred;
+        NewIdom = NewIdom == None ? P : intersect(NewIdom, P);
       }
-      if (!NewIdom)
-        continue;
-      auto It = Idom.find(BB);
-      if (It == Idom.end() || It->second != NewIdom) {
-        Idom[BB] = NewIdom;
+      if (NewIdom != None && IdomNode[V] != NewIdom) {
+        IdomNode[V] = NewIdom;
         Changed = true;
       }
     }
+  }
+
+  // Preorder numbers over the tree. An idom precedes its children in
+  // reverse postorder, so one backward sweep sums subtree sizes and one
+  // forward sweep hands each child the next free slot of its parent's
+  // range.
+  Size.assign(N, 1);
+  for (unsigned V = N; V-- > 1;)
+    Size[IdomNode[V]] += Size[V];
+  In.assign(N, 0);
+  std::vector<unsigned> NextSlot(N, 1);
+  for (unsigned V = 1; V < N; ++V) {
+    In[V] = NextSlot[IdomNode[V]];
+    NextSlot[IdomNode[V]] += Size[V];
+    NextSlot[V] = In[V] + 1;
   }
 }
 
 void DominatorTree::applyBlockMerged(BasicBlock *Into,
                                      const BasicBlock *Gone) {
-  if (!PostorderIndex.count(Gone))
+  auto It = Node.find(Gone);
+  if (It == Node.end())
     return; // Unreachable at analysis time: not in the tree.
-  for (auto &[BB, ID] : Idom)
-    if (ID == Gone)
-      ID = Into;
-  Idom.erase(Gone);
-  PostorderIndex.erase(Gone);
-  Rpo.erase(std::remove(Rpo.begin(), Rpo.end(),
-                        const_cast<BasicBlock *>(Gone)),
-            Rpo.end());
+  unsigned G = It->second;
+  unsigned I = IdomNode[G];
+  assert(NodeBlock[I] == Into && "merged block's idom is not its pred");
+  (void)Into;
+  for (unsigned &ID : IdomNode)
+    if (ID == G)
+      ID = I;
+  Node.erase(It);
+  NodeBlock[G] = nullptr;
+  Rpo.erase(std::find(Rpo.begin(), Rpo.end(), Gone));
 }
 
 bool DominatorTree::dominates(const BasicBlock *A, const BasicBlock *B) const {
-  if (!PostorderIndex.count(B))
+  auto BIt = Node.find(B);
+  if (BIt == Node.end())
     return true; // B unreachable: vacuously dominated.
-  if (!PostorderIndex.count(A))
+  auto AIt = Node.find(A);
+  if (AIt == Node.end())
     return false; // A unreachable: dominates nothing reachable.
-  const BasicBlock *Runner = B;
-  while (true) {
-    if (Runner == A)
-      return true;
-    auto It = Idom.find(Runner);
-    if (It == Idom.end() || It->second == Runner)
-      return Runner == A;
-    Runner = It->second;
-  }
+  unsigned NA = AIt->second, NB = BIt->second;
+  return In[NA] <= In[NB] && In[NB] < In[NA] + Size[NA];
 }
 
 BasicBlock *DominatorTree::idom(const BasicBlock *BB) const {
-  auto It = Idom.find(BB);
-  if (It == Idom.end() || It->second == BB)
+  auto It = Node.find(BB);
+  if (It == Node.end() || IdomNode[It->second] == It->second)
     return nullptr;
-  return It->second;
+  return NodeBlock[IdomNode[It->second]];
 }
 
 std::vector<NaturalLoop>
 ir::findNaturalLoops(const Function &F, const DominatorTree &DT) {
+  PredecessorTable Preds(F);
   std::unordered_map<BasicBlock *, NaturalLoop> LoopsByHeader;
 
   for (const auto &BBPtr : F.blocks()) {
     BasicBlock *BB = BBPtr.get();
-    if (!DT.isReachable(BB))
+    const Instruction *Term = BB->terminator();
+    if (!Term || !DT.isReachable(BB))
       continue;
-    for (BasicBlock *Succ : BB->successors()) {
+    for (unsigned S = 0; S < Term->numSuccessors(); ++S) {
+      BasicBlock *Succ = Term->successor(S);
       if (!DT.dominates(Succ, BB))
         continue; // Not a back edge.
       NaturalLoop &Loop = LoopsByHeader[Succ];
@@ -136,25 +171,19 @@ ir::findNaturalLoops(const Function &F, const DominatorTree &DT) {
         Work.pop_front();
         if (!Loop.Blocks.insert(Cur).second)
           continue;
-        for (BasicBlock *Pred : Cur->predecessors())
+        for (BasicBlock *Pred : Preds[Cur])
           if (DT.isReachable(Pred))
             Work.push_back(Pred);
       }
     }
   }
 
+  // Outermost (earliest header in RPO) first, deterministically.
   std::vector<NaturalLoop> Out;
   Out.reserve(LoopsByHeader.size());
-  for (auto &[Header, Loop] : LoopsByHeader)
-    Out.push_back(std::move(Loop));
-  // Outermost (earliest header in RPO) first, deterministically.
-  std::unordered_map<const BasicBlock *, size_t> RpoPos;
-  for (size_t I = 0; I < DT.reversePostorder().size(); ++I)
-    RpoPos[DT.reversePostorder()[I]] = I;
-  std::sort(Out.begin(), Out.end(),
-            [&](const NaturalLoop &A, const NaturalLoop &B) {
-              return RpoPos.at(A.Header) < RpoPos.at(B.Header);
-            });
+  for (BasicBlock *BB : DT.reversePostorder())
+    if (auto It = LoopsByHeader.find(BB); It != LoopsByHeader.end())
+      Out.push_back(std::move(It->second));
   return Out;
 }
 

@@ -7,7 +7,8 @@
 /// \file
 /// Dominator analysis (Cooper-Harvey-Kennedy iterative algorithm) and
 /// natural-loop discovery via back edges. Used by the verifier (defs must
-/// dominate uses), LICM, loop unrolling and GVN.
+/// dominate uses), LICM, loop unrolling and GVN. Both read predecessors
+/// from one PredecessorTable (ir/CFG.h) built per call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,10 @@
 namespace compiler_gym {
 namespace ir {
 
-/// Dominator tree over the reachable CFG of one function.
+/// Dominator tree over the reachable CFG of one function, built from a
+/// PredecessorTable: Cooper-Harvey-Kennedy on dense reverse-postorder
+/// numbers, then a preorder numbering of the tree, so dominates() is two
+/// lookups and two compares.
 class DominatorTree {
 public:
   explicit DominatorTree(const Function &F);
@@ -37,7 +41,7 @@ public:
 
   /// True if the block was reachable from the entry at analysis time.
   bool isReachable(const BasicBlock *BB) const {
-    return PostorderIndex.count(BB) != 0;
+    return Node.count(BB) != 0;
   }
 
   /// Reverse postorder over reachable blocks.
@@ -55,13 +59,20 @@ public:
   /// so blocks immediately dominated by \p Gone retarget to \p Into, and
   /// removing \p Gone from the postorder leaves every other block's
   /// relative DFS order unchanged (the merged block expands \p Gone's old
-  /// successor list in place). \p Gone may already be destroyed; it is
-  /// used only as a key.
+  /// successor list in place). The subtree intervals stay exact: \p Gone's
+  /// lies inside \p Into's and holds its children's. \p Gone may already
+  /// be destroyed; it is used only as a key.
   void applyBlockMerged(BasicBlock *Into, const BasicBlock *Gone);
 
 private:
-  std::unordered_map<const BasicBlock *, BasicBlock *> Idom;
-  std::unordered_map<const BasicBlock *, int> PostorderIndex;
+  /// Reachable block -> node, its reverse-postorder position at build
+  /// time. Node numbers stay fixed when applyBlockMerged drops a node.
+  std::unordered_map<const BasicBlock *, unsigned> Node;
+  std::vector<BasicBlock *> NodeBlock;
+  std::vector<unsigned> IdomNode; ///< The entry's idom is itself.
+  /// Preorder number and subtree size of each node: A dominates B iff
+  /// In[A] <= In[B] < In[A] + Size[A].
+  std::vector<unsigned> In, Size;
   std::vector<BasicBlock *> Rpo;
 };
 

@@ -180,6 +180,11 @@ std::vector<BasicBlock *> Instruction::successors() const {
   }
 }
 
+BasicBlock *Instruction::successor(unsigned I) const {
+  assert(I < numSuccessors() && "successor index out of range");
+  return cast<BasicBlock>(operand(Op == Opcode::Br ? 0 : I + 1));
+}
+
 void Instruction::replaceSuccessor(BasicBlock *From, BasicBlock *To) {
   switch (Op) {
   case Opcode::Br:

@@ -179,6 +179,12 @@ public:
 
   /// Branch successor list (terminators only; empty for Ret/Unreachable).
   std::vector<BasicBlock *> successors() const;
+  /// successors().size() without building the list.
+  unsigned numSuccessors() const {
+    return Op == Opcode::Br ? 1 : Op == Opcode::CondBr ? 2 : 0;
+  }
+  /// successors()[I] without building the list.
+  BasicBlock *successor(unsigned I) const;
   /// Rewrites every successor edge equal to \p From to point at \p To.
   void replaceSuccessor(BasicBlock *From, BasicBlock *To);
 

@@ -6,6 +6,7 @@
 
 #include "ir/Verifier.h"
 
+#include "ir/CFG.h"
 #include "ir/Dominators.h"
 
 #include <algorithm>
@@ -235,12 +236,13 @@ Status ir::verifyFunction(const Function &F, const Module *M) {
       CG_RETURN_IF_ERROR(checkOperandTypes(F, *I, M));
 
   DominatorTree DT(F);
+  PredecessorTable PredTable(F);
 
   // Phi inputs exactly cover predecessors (for reachable blocks).
   for (const auto &BB : F.blocks()) {
     if (!DT.isReachable(BB.get()))
       continue;
-    std::vector<BasicBlock *> Preds = BB->predecessors();
+    const std::vector<BasicBlock *> &Preds = PredTable[BB.get()];
     for (const auto &I : BB->instructions()) {
       if (I->opcode() != Opcode::Phi)
         break;

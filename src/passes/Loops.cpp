@@ -15,6 +15,7 @@
 #include "passes/Transforms.h"
 #include "passes/Utils.h"
 
+#include "ir/CFG.h"
 #include "ir/Dominators.h"
 
 #include <algorithm>
@@ -29,9 +30,10 @@ namespace {
 
 /// Returns the preheader of \p Loop: the unique out-of-loop predecessor of
 /// the header, whose only successor is the header. nullptr if absent.
-BasicBlock *findPreheader(const NaturalLoop &Loop) {
+BasicBlock *findPreheader(const NaturalLoop &Loop,
+                          const PredecessorTable &Preds) {
   BasicBlock *Candidate = nullptr;
-  for (BasicBlock *Pred : Loop.Header->predecessors()) {
+  for (BasicBlock *Pred : Preds[Loop.Header]) {
     if (Loop.contains(Pred))
       continue;
     if (Candidate)
@@ -60,12 +62,15 @@ public:
     while (LocalChange) {
       LocalChange = false;
       const std::vector<NaturalLoop> &Loops = AM.loops(F);
+      if (Loops.empty())
+        break;
+      PredecessorTable Preds(F);
       for (const NaturalLoop &Loop : Loops) {
-        if (findPreheader(Loop))
+        if (findPreheader(Loop, Preds))
           continue;
         if (Loop.Header == F.entry())
           continue; // Entry cannot have a preheader inserted before it.
-        if (insertPreheader(F, Loop)) {
+        if (insertPreheader(F, Loop, Preds)) {
           // CFG changed: Loops is now stale — drop it and break out so the
           // next round re-discovers from fresh analyses.
           AM.invalidate(F, PreservedAnalyses::none());
@@ -83,10 +88,11 @@ public:
   }
 
 private:
-  static bool insertPreheader(Function &F, const NaturalLoop &Loop) {
+  static bool insertPreheader(Function &F, const NaturalLoop &Loop,
+                              const PredecessorTable &Preds) {
     BasicBlock *Header = Loop.Header;
     std::vector<BasicBlock *> OutsidePreds;
-    for (BasicBlock *Pred : Header->predecessors())
+    for (BasicBlock *Pred : Preds[Header])
       if (!Loop.contains(Pred))
         OutsidePreds.push_back(Pred);
     if (OutsidePreds.empty())
@@ -143,9 +149,12 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     const std::vector<NaturalLoop> &Loops = AM.loops(F);
+    if (Loops.empty())
+      return PassResult::make(false, PreservedAnalyses::cfg());
+    PredecessorTable Preds(F);
     bool Changed = false;
     for (const NaturalLoop &Loop : Loops) {
-      BasicBlock *PH = findPreheader(Loop);
+      BasicBlock *PH = findPreheader(Loop, Preds);
       if (!PH)
         continue; // loop-simplify has not run: a real ordering dependency.
 
@@ -238,10 +247,13 @@ public:
     while (LocalChange) {
       LocalChange = false;
       const std::vector<NaturalLoop> &Loops = AM.loops(F);
+      if (Loops.empty())
+        break;
+      PredecessorTable Preds(F);
       for (const NaturalLoop &Loop : Loops) {
         if (Loop.Blocks.size() != 1)
           continue; // Only self-loop blocks (rotated form).
-        if (tryUnroll(F, Loop)) {
+        if (tryUnroll(F, Loop, Preds)) {
           AM.invalidate(F, PreservedAnalyses::none());
           LocalChange = Changed = true;
           break;
@@ -256,9 +268,10 @@ public:
   }
 
 private:
-  bool tryUnroll(Function &F, const NaturalLoop &Loop) {
+  bool tryUnroll(Function &F, const NaturalLoop &Loop,
+                 const PredecessorTable &Preds) {
     BasicBlock *B = Loop.Header;
-    BasicBlock *PH = findPreheader(Loop);
+    BasicBlock *PH = findPreheader(Loop, Preds);
     if (!PH)
       return false;
     Instruction *Term = B->terminator();
@@ -469,8 +482,11 @@ public:
     while (LocalChange) {
       LocalChange = false;
       const std::vector<NaturalLoop> &Loops = AM.loops(F);
+      if (Loops.empty())
+        break;
+      PredecessorTable Preds(F);
       for (const NaturalLoop &Loop : Loops) {
-        if (tryDelete(F, Loop)) {
+        if (tryDelete(F, Loop, Preds)) {
           AM.invalidate(F, PreservedAnalyses::none());
           LocalChange = Changed = true;
           break;
@@ -485,8 +501,9 @@ public:
   }
 
 private:
-  static bool tryDelete(Function &F, const NaturalLoop &Loop) {
-    BasicBlock *PH = findPreheader(Loop);
+  static bool tryDelete(Function &F, const NaturalLoop &Loop,
+                        const PredecessorTable &Preds) {
+    BasicBlock *PH = findPreheader(Loop, Preds);
     if (!PH)
       return false;
     // No side effects inside.

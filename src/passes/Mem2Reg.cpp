@@ -17,6 +17,7 @@
 #include "passes/Transforms.h"
 #include "passes/Utils.h"
 
+#include "ir/CFG.h"
 #include "ir/Dominators.h"
 
 #include <unordered_map>
@@ -48,10 +49,11 @@ public:
         DomChildren[Parent].push_back(BB.get());
 
     // Dominance frontiers (Cytron et al.).
+    PredecessorTable PredTable(F);
     std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> DF;
     for (const auto &BBPtr : F.blocks()) {
       BasicBlock *BB = BBPtr.get();
-      std::vector<BasicBlock *> Preds = BB->predecessors();
+      const std::vector<BasicBlock *> &Preds = PredTable[BB];
       if (Preds.size() < 2)
         continue;
       BasicBlock *IDom = DT.idom(BB);

@@ -25,6 +25,9 @@
 #include <string>
 
 namespace compiler_gym {
+namespace telemetry {
+class Histogram;
+}
 namespace passes {
 
 /// Base class for all transforms.
@@ -48,6 +51,12 @@ public:
   /// Passes that intentionally exhibit nondeterminism (for the
   /// reproducibility-validation machinery) override this to return false.
   virtual bool isDeterministic() const { return true; }
+
+private:
+  friend class PassManager;
+  /// cg_pass_latency_us{pass=name()}, looked up on this instance's first
+  /// run.
+  telemetry::Histogram *Latency = nullptr;
 };
 
 /// Convenience base: run per function. Invalidates each changed function

@@ -63,7 +63,13 @@ StatusOr<bool> PassManager::run(Pass &P) {
                                 ? "pass:" + P.name()
                                 : std::string(),
                             "passes");
+  if (!P.Latency)
+    P.Latency = &telemetry::MetricsRegistry::global().histogram(
+        "cg_pass_latency_us", {{"pass", P.name()}},
+        "Transformation pass latency by pass (us)");
+  Stopwatch Watch;
   PassResult R = P.run(M, AM);
+  P.Latency->observeUs(Watch.elapsedUs());
   passesRunTotal().inc();
   // Module-scoped passes that did not report fine-grained invalidation
   // themselves get their PreservedAnalyses applied module-wide, so a pass

@@ -7,10 +7,12 @@
 #include "passes/Transforms.h"
 #include "passes/Utils.h"
 
+#include "ir/CFG.h"
 #include "util/Hash.h"
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -413,6 +415,7 @@ public:
   std::string name() const override { return "sink"; }
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
+    std::optional<PredecessorTable> Preds; // Sinking moves no edge.
     bool Changed = false;
     // Map each instruction to its unique using block (if any).
     for (const auto &BB : F.blocks()) {
@@ -449,7 +452,9 @@ public:
         std::vector<BasicBlock *> Succs = BB->successors();
         if (std::find(Succs.begin(), Succs.end(), UserBlock) == Succs.end())
           continue;
-        if (UserBlock->predecessors().size() != 1)
+        if (!Preds)
+          Preds.emplace(F);
+        if ((*Preds)[UserBlock].size() != 1)
           continue;
         std::unique_ptr<Instruction> Owned = BB->detach(I);
         Owned->setParent(UserBlock);

@@ -7,10 +7,12 @@
 #include "passes/Transforms.h"
 #include "passes/Utils.h"
 
+#include "ir/CFG.h"
 #include "ir/Dominators.h"
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -55,53 +57,60 @@ using MergeCallback =
     std::function<void(BasicBlock *Into, const BasicBlock *Gone)>;
 
 bool mergeLinearChains(Function &F, const MergeCallback &OnMerge = nullptr) {
+  if (F.numBlocks() < 2)
+    return false;
+  PredecessorTable Preds(F);
   bool Changed = false;
-  bool LocalChange = true;
-  while (LocalChange) {
-    LocalChange = false;
-    for (const auto &BBPtr : F.blocks()) {
-      BasicBlock *BB = BBPtr.get();
-      Instruction *Term = BB->terminator();
-      if (!Term || Term->opcode() != Opcode::Br)
-        continue;
-      auto *Succ = cast<BasicBlock>(Term->operand(0));
-      if (Succ == BB || Succ == F.entry())
-        continue;
-      std::vector<BasicBlock *> Preds = Succ->predecessors();
-      if (Preds.size() != 1 || Preds[0] != BB)
-        continue;
-      // Collapse Succ's phis (single incoming) to their value.
-      while (Succ->firstNonPhi() > 0) {
-        Instruction *Phi = Succ->instructions()[0].get();
-        Value *Incoming = Phi->numIncoming() >= 1 ? Phi->incomingValue(0)
-                                                  : nullptr;
-        if (!Incoming)
-          break;
-        F.replaceAllUsesWith(Phi, Incoming);
-        Succ->erase(0);
-      }
-      // Drop BB's terminator, splice Succ's instructions into BB.
-      BB->erase(BB->size() - 1);
-      while (!Succ->empty()) {
-        std::unique_ptr<Instruction> Moved = Succ->detach(0);
-        Moved->setParent(BB);
-        BB->append(std::move(Moved));
-      }
-      // Phis downstream now see BB as the predecessor.
-      for (BasicBlock *After : BB->successors())
-        replacePhiIncomingBlock(*After, Succ, BB);
-      if (OnMerge)
-        OnMerge(BB, Succ);
-      F.eraseBlock(Succ);
-      LocalChange = Changed = true;
-      break; // Block list mutated; restart scan.
+  // A merge changes no other block's predecessor count, so every block
+  // before the merged one stays unmergeable: the scan resumes at the
+  // merged block rather than restarting.
+  for (size_t I = 0; I < F.numBlocks();) {
+    BasicBlock *BB = F.blocks()[I].get();
+    Instruction *Term = BB->terminator();
+    auto *Succ = Term && Term->opcode() == Opcode::Br
+                     ? cast<BasicBlock>(Term->operand(0))
+                     : nullptr;
+    if (!Succ || Succ == BB || Succ == F.entry() ||
+        Preds[Succ].size() != 1 || Preds[Succ][0] != BB) {
+      ++I;
+      continue;
     }
+    // Collapse Succ's phis (single incoming) to their value.
+    while (Succ->firstNonPhi() > 0) {
+      Instruction *Phi = Succ->instructions()[0].get();
+      Value *Incoming = Phi->numIncoming() >= 1 ? Phi->incomingValue(0)
+                                                : nullptr;
+      if (!Incoming)
+        break;
+      F.replaceAllUsesWith(Phi, Incoming);
+      Succ->erase(0);
+    }
+    // Drop BB's terminator, splice Succ's instructions into BB.
+    BB->erase(BB->size() - 1);
+    while (!Succ->empty()) {
+      std::unique_ptr<Instruction> Moved = Succ->detach(0);
+      Moved->setParent(BB);
+      BB->append(std::move(Moved));
+    }
+    // Phis downstream now see BB as the predecessor.
+    for (BasicBlock *After : BB->successors()) {
+      replacePhiIncomingBlock(*After, Succ, BB);
+      Preds.removeEdge(Succ, After);
+      Preds.addEdge(BB, After);
+    }
+    if (OnMerge)
+      OnMerge(BB, Succ);
+    if (Preds.index(Succ) < Preds.index(BB))
+      --I; // Erasing Succ shifts BB down one position.
+    F.eraseBlock(Succ);
+    Changed = true;
   }
   return Changed;
 }
 
 /// Bypasses trampoline blocks that contain only an unconditional branch.
 bool removeTrampolines(Function &F) {
+  std::optional<PredecessorTable> Table; // Built at the first trampoline.
   bool Changed = false;
   bool LocalChange = true;
   while (LocalChange) {
@@ -116,13 +125,15 @@ bool removeTrampolines(Function &F) {
       auto *Target = cast<BasicBlock>(Term->operand(0));
       if (Target == BB)
         continue;
-      std::vector<BasicBlock *> Preds = BB->predecessors();
+      if (!Table)
+        Table.emplace(F);
+      const std::vector<BasicBlock *> &Preds = (*Table)[BB];
       if (Preds.empty())
         continue; // Unreachable; let unreachable-elim handle it.
       // Redirecting a pred that already branches to Target would create a
       // duplicate edge; with phis in Target the incoming values could
       // conflict, so bail for that pred configuration.
-      std::vector<BasicBlock *> TargetPreds = Target->predecessors();
+      const std::vector<BasicBlock *> &TargetPreds = (*Table)[Target];
       bool Conflict = false;
       for (BasicBlock *P : Preds)
         if (std::find(TargetPreds.begin(), TargetPreds.end(), P) !=
@@ -151,8 +162,11 @@ bool removeTrampolines(Function &F) {
         for (BasicBlock *P : Preds)
           Phi->addIncoming(ViaValue, P);
       }
-      for (BasicBlock *P : Preds)
+      Table->removeEdge(BB, Target);
+      for (BasicBlock *P : Preds) {
         P->terminator()->replaceSuccessor(BB, Target);
+        Table->addEdge(P, Target);
+      }
       F.eraseBlock(BB);
       LocalChange = Changed = true;
       break;
@@ -208,6 +222,7 @@ public:
   std::string name() const override { return "jump-threading"; }
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
+    std::optional<PredecessorTable> Preds; // Built at the first candidate.
     bool Changed = false;
     for (const auto &BBPtr : F.blocks()) {
       BasicBlock *BB = BBPtr.get();
@@ -232,7 +247,9 @@ public:
         // The destination must not already have Pred as a predecessor
         // (duplicate edges would corrupt its phis), and must not have phis
         // that require values defined in BB.
-        std::vector<BasicBlock *> DestPreds = Dest->predecessors();
+        if (!Preds)
+          Preds.emplace(F);
+        const std::vector<BasicBlock *> &DestPreds = (*Preds)[Dest];
         if (std::find(DestPreds.begin(), DestPreds.end(), Pred) !=
             DestPreds.end())
           continue;
@@ -259,6 +276,8 @@ public:
               DPhi->addIncoming(DPhi->incomingValue(J), Pred);
         }
         Pred->terminator()->replaceSuccessor(BB, Dest);
+        Preds->removeEdge(Pred, BB);
+        Preds->addEdge(Pred, Dest);
         Phi->removeIncoming(K);
         Changed = true;
         // BB lost predecessor Pred. If BB became unreachable the cleanup

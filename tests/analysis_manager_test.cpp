@@ -189,6 +189,22 @@ TEST(PassManager, ReusesPassInstancesAcrossRunsAndRounds) {
   EXPECT_EQ(PM.stats().PassInstancesCreated, 4u); // +mem2reg, +simplifycfg.
 }
 
+TEST(PassManager, RecordsLatencyPerPass) {
+  auto latency = [](const char *Pass) -> telemetry::Histogram & {
+    return telemetry::MetricsRegistry::global().histogram(
+        "cg_pass_latency_us", {{"pass", Pass}});
+  };
+  const uint64_t Dce0 = latency("dce").count();
+  const uint64_t Combine0 = latency("instcombine").count();
+  auto M = parse(TwoFunctionModule);
+  PassManager PM(*M);
+  ASSERT_TRUE(PM.run("dce").isOk());
+  ASSERT_TRUE(PM.run("dce").isOk());
+  ASSERT_TRUE(PM.run("instcombine").isOk());
+  EXPECT_EQ(latency("dce").count() - Dce0, 2u);
+  EXPECT_EQ(latency("instcombine").count() - Combine0, 1u);
+}
+
 TEST(PassManager, UnknownPassIsNotFound) {
   auto M = parse(TwoFunctionModule);
   PassManager PM(*M);

@@ -6,14 +6,21 @@
 
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
+#include "datasets/DatasetRegistry.h"
 #include "datasets/StressGenerator.h"
+#include "ir/CFG.h"
 #include "ir/Dominators.h"
 #include "ir/IRBuilder.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "passes/PassManager.h"
+#include "util/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
 
 using namespace compiler_gym;
 using namespace compiler_gym::ir;
@@ -209,9 +216,30 @@ TEST(BasicBlock, PredecessorsAndSuccessors) {
   ASSERT_NE(Entry, nullptr);
   ASSERT_NE(Merge, nullptr);
   EXPECT_EQ(Entry->successors().size(), 2u);
-  EXPECT_TRUE(Entry->predecessors().empty());
-  EXPECT_EQ(Merge->predecessors().size(), 2u);
+  PredecessorTable Preds(*F);
+  EXPECT_TRUE(Preds[Entry].empty());
+  EXPECT_EQ(Preds[Merge].size(), 2u);
   EXPECT_EQ(Merge->firstNonPhi(), 1u);
+}
+
+TEST(PredecessorTable, PatchesKeepBlockOrder) {
+  auto M = buildDiamond();
+  Function *F = M->findFunction("main");
+  BasicBlock *Entry = F->findBlock("entry");
+  BasicBlock *Then = F->findBlock("then");
+  BasicBlock *Else = F->findBlock("else");
+  BasicBlock *Merge = F->findBlock("merge");
+  PredecessorTable Preds(*F);
+  EXPECT_EQ(Preds[Merge], (std::vector<BasicBlock *>{Then, Else}));
+  EXPECT_EQ(Preds.index(Else), 2u);
+  EXPECT_EQ(Preds.block(2), Else);
+  Preds.removeEdge(Then, Merge);
+  Preds.addEdge(Entry, Merge);
+  Preds.addEdge(Else, Merge); // Already listed: no duplicate.
+  EXPECT_EQ(Preds[Merge], (std::vector<BasicBlock *>{Entry, Else}));
+  BasicBlock *Late = F->createBlock("late");
+  EXPECT_EQ(Preds.index(Late), PredecessorTable::npos);
+  EXPECT_TRUE(Preds[Late].empty());
 }
 
 // -- Printer / parser ---------------------------------------------------------
@@ -443,6 +471,308 @@ TEST(Dominators, UnreachableBlocksHandled) {
   EXPECT_FALSE(DT.isReachable(Orphan));
   EXPECT_TRUE(DT.dominates(F->findBlock("entry"), Orphan)); // Vacuous.
   EXPECT_FALSE(DT.dominates(Orphan, F->findBlock("merge")));
+}
+
+// -- Dominators: differential oracle -------------------------------------------
+
+/// Predecessors by scanning every block's successors: the construction the
+/// dominator tree used before PredecessorTable.
+std::vector<BasicBlock *> scanPredecessors(const Function &F,
+                                           const BasicBlock *BB) {
+  std::vector<BasicBlock *> Preds;
+  for (const auto &P : F.blocks()) {
+    std::vector<BasicBlock *> Succs = P->successors();
+    if (std::find(Succs.begin(), Succs.end(), BB) != Succs.end())
+      Preds.push_back(P.get());
+  }
+  return Preds;
+}
+
+/// The reference dominator tree: Cooper-Harvey-Kennedy over pointer maps
+/// and scanned predecessors (memoized per block, which leaves the answers
+/// as they were), with an idom-chain walk per dominates() query.
+struct ReferenceDomTree {
+  std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> Preds;
+  std::unordered_map<const BasicBlock *, BasicBlock *> Idom;
+  std::unordered_map<const BasicBlock *, int> PostorderIndex;
+  std::vector<BasicBlock *> Rpo;
+
+  explicit ReferenceDomTree(const Function &F) {
+    if (F.empty())
+      return;
+    for (const auto &BB : F.blocks())
+      Preds[BB.get()] = scanPredecessors(F, BB.get());
+    BasicBlock *Entry = F.entry();
+    std::vector<BasicBlock *> Postorder;
+    std::unordered_set<BasicBlock *> Visited{Entry};
+    std::vector<std::pair<BasicBlock *, size_t>> Stack{{Entry, 0}};
+    while (!Stack.empty()) {
+      auto &[BB, Cursor] = Stack.back();
+      std::vector<BasicBlock *> Succs = BB->successors();
+      if (Cursor < Succs.size()) {
+        BasicBlock *Next = Succs[Cursor++];
+        if (Visited.insert(Next).second)
+          Stack.emplace_back(Next, 0);
+        continue;
+      }
+      Postorder.push_back(BB);
+      Stack.pop_back();
+    }
+    for (size_t I = 0; I < Postorder.size(); ++I)
+      PostorderIndex[Postorder[I]] = static_cast<int>(I);
+    Rpo.assign(Postorder.rbegin(), Postorder.rend());
+    auto intersect = [&](BasicBlock *A, BasicBlock *B) {
+      while (A != B) {
+        while (PostorderIndex.at(A) < PostorderIndex.at(B))
+          A = Idom.at(A);
+        while (PostorderIndex.at(B) < PostorderIndex.at(A))
+          B = Idom.at(B);
+      }
+      return A;
+    };
+    Idom[Entry] = Entry;
+    bool Changed = true;
+    while (Changed) {
+      Changed = false;
+      for (BasicBlock *BB : Rpo) {
+        if (BB == Entry)
+          continue;
+        BasicBlock *NewIdom = nullptr;
+        for (BasicBlock *Pred : Preds.at(BB)) {
+          if (!PostorderIndex.count(Pred) || !Idom.count(Pred))
+            continue;
+          NewIdom = NewIdom ? intersect(NewIdom, Pred) : Pred;
+        }
+        if (!NewIdom)
+          continue;
+        auto It = Idom.find(BB);
+        if (It == Idom.end() || It->second != NewIdom) {
+          Idom[BB] = NewIdom;
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  bool isReachable(const BasicBlock *BB) const {
+    return PostorderIndex.count(BB) != 0;
+  }
+
+  /// Every block whose idom chain passes through \p B's: the blocks that
+  /// dominate \p B, for reachable \p B.
+  std::unordered_set<const BasicBlock *> dominators(const BasicBlock *B) const {
+    std::unordered_set<const BasicBlock *> Out{B};
+    for (const BasicBlock *Runner = B; Idom.at(Runner) != Runner;
+         Runner = Idom.at(Runner))
+      Out.insert(Idom.at(Runner));
+    return Out;
+  }
+
+  bool dominates(const BasicBlock *A, const BasicBlock *B) const {
+    if (!isReachable(B))
+      return true;
+    return isReachable(A) && dominators(B).count(A);
+  }
+
+  BasicBlock *idom(const BasicBlock *BB) const {
+    auto It = Idom.find(BB);
+    return It == Idom.end() || It->second == BB ? nullptr : It->second;
+  }
+};
+
+/// The reference loop discovery: back edges by idom-chain dominance, latch
+/// walks over scanned predecessors, loops sorted by header RPO position.
+std::vector<NaturalLoop> referenceLoops(const Function &F,
+                                        const ReferenceDomTree &DT) {
+  std::unordered_map<BasicBlock *, NaturalLoop> LoopsByHeader;
+  for (const auto &BBPtr : F.blocks()) {
+    BasicBlock *BB = BBPtr.get();
+    if (!DT.isReachable(BB))
+      continue;
+    for (BasicBlock *Succ : BB->successors()) {
+      if (!DT.dominates(Succ, BB))
+        continue;
+      NaturalLoop &Loop = LoopsByHeader[Succ];
+      Loop.Header = Succ;
+      Loop.Latches.push_back(BB);
+      Loop.Blocks.insert(Succ);
+      std::deque<BasicBlock *> Work{BB};
+      while (!Work.empty()) {
+        BasicBlock *Cur = Work.front();
+        Work.pop_front();
+        if (!Loop.Blocks.insert(Cur).second)
+          continue;
+        for (BasicBlock *Pred : DT.Preds.at(Cur))
+          if (DT.isReachable(Pred))
+            Work.push_back(Pred);
+      }
+    }
+  }
+  std::vector<NaturalLoop> Out;
+  for (auto &[Header, Loop] : LoopsByHeader)
+    Out.push_back(std::move(Loop));
+  std::unordered_map<const BasicBlock *, size_t> RpoPos;
+  for (size_t I = 0; I < DT.Rpo.size(); ++I)
+    RpoPos[DT.Rpo[I]] = I;
+  std::sort(Out.begin(), Out.end(),
+            [&](const NaturalLoop &A, const NaturalLoop &B) {
+              return RpoPos.at(A.Header) < RpoPos.at(B.Header);
+            });
+  return Out;
+}
+
+/// Checks the predecessor table, the dominator tree (RPO, reachability,
+/// idoms, dominates() over every block pair) and the natural loops of \p F
+/// against the reference construction.
+void expectMatchesReference(const Function &F, const DominatorTree &DT,
+                            const ReferenceDomTree &Ref,
+                            const std::string &Where) {
+  SCOPED_TRACE(Where + " @" + F.name());
+  PredecessorTable Preds(F);
+  for (const auto &BB : F.blocks())
+    ASSERT_EQ(Preds[BB.get()], Ref.Preds.at(BB.get())) << BB->name();
+  ASSERT_EQ(DT.reversePostorder(), Ref.Rpo);
+  for (const auto &B : F.blocks()) {
+    ASSERT_EQ(DT.isReachable(B.get()), Ref.isReachable(B.get())) << B->name();
+    ASSERT_EQ(DT.idom(B.get()), Ref.idom(B.get())) << B->name();
+    if (!Ref.isReachable(B.get())) {
+      for (const auto &A : F.blocks())
+        ASSERT_TRUE(DT.dominates(A.get(), B.get())) << A->name();
+      continue;
+    }
+    std::unordered_set<const BasicBlock *> Doms = Ref.dominators(B.get());
+    for (const auto &A : F.blocks())
+      ASSERT_EQ(DT.dominates(A.get(), B.get()), Doms.count(A.get()) != 0)
+          << A->name() << " dom " << B->name();
+  }
+  std::vector<NaturalLoop> Loops = findNaturalLoops(F, DT);
+  std::vector<NaturalLoop> RefLoops = referenceLoops(F, Ref);
+  ASSERT_EQ(Loops.size(), RefLoops.size());
+  for (size_t I = 0; I < Loops.size(); ++I) {
+    EXPECT_EQ(Loops[I].Header, RefLoops[I].Header) << "loop " << I;
+    EXPECT_EQ(Loops[I].Latches, RefLoops[I].Latches) << "loop " << I;
+    EXPECT_EQ(Loops[I].Blocks, RefLoops[I].Blocks) << "loop " << I;
+  }
+}
+
+/// Checks a fresh tree of every function of \p M against the reference,
+/// and, given \p AM, the tree \p AM holds for it too (after block-merge,
+/// one patched in place by DominatorTree::applyBlockMerged).
+void expectModuleMatchesReference(const Module &M, const std::string &Where,
+                                  passes::AnalysisManager *AM = nullptr) {
+  for (const auto &F : M.functions()) {
+    ReferenceDomTree Ref(*F);
+    expectMatchesReference(*F, DominatorTree(*F), Ref, Where);
+    if (AM && !::testing::Test::HasFatalFailure())
+      expectMatchesReference(*F, AM->domTree(*F), Ref, Where + " (cached)");
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
+
+TEST(DominatorOracle, HandBuiltCfgs) {
+  // entry -> a | c;  a -> b;  b -> b | c (self-loop);  c -> a | d
+  // (a/b/c cycle entered at both a and c: irreducible);  d -> e | e (one
+  // condbr target twice);  e -> ret;  dead -> a (unreachable).
+  Module M;
+  Function *F = M.createFunction("f", Type::Void);
+  BasicBlock *Entry = F->createBlock("entry");
+  BasicBlock *A = F->createBlock("a");
+  BasicBlock *Bb = F->createBlock("b");
+  BasicBlock *C = F->createBlock("c");
+  BasicBlock *D = F->createBlock("d");
+  BasicBlock *E = F->createBlock("e");
+  BasicBlock *Dead = F->createBlock("dead");
+  IRBuilder B(Entry);
+  Value *T = M.getTrue();
+  B.createCondBr(T, A, C);
+  B.setInsertPoint(A);
+  B.createBr(Bb);
+  B.setInsertPoint(Bb);
+  B.createCondBr(T, Bb, C);
+  B.setInsertPoint(C);
+  B.createCondBr(T, A, D);
+  B.setInsertPoint(D);
+  B.createCondBr(T, E, E);
+  B.setInsertPoint(E);
+  B.createRet();
+  B.setInsertPoint(Dead);
+  B.createBr(A);
+
+  DominatorTree DT(*F);
+  ReferenceDomTree Ref(*F);
+  expectMatchesReference(*F, DT, Ref, "hand-built");
+  EXPECT_FALSE(DT.isReachable(Dead));
+  EXPECT_EQ(DT.idom(A), Entry); // Irreducible: entered at a and at c.
+  EXPECT_EQ(DT.idom(C), Entry);
+  EXPECT_EQ(DT.idom(E), D);
+  PredecessorTable Preds(*F);
+  EXPECT_EQ(Preds[E], std::vector<BasicBlock *>{D});
+  EXPECT_EQ(Preds[A], (std::vector<BasicBlock *>{Entry, C, Dead}));
+  std::vector<NaturalLoop> Loops = findNaturalLoops(*F, DT);
+  ASSERT_EQ(Loops.size(), 1u); // Only the self-loop has a dominating header.
+  EXPECT_EQ(Loops[0].Header, Bb);
+
+  // A block created after both trees were built is unknown to each, and
+  // both answer for it alike (unreachable: dominates nothing, dominated by
+  // everything).
+  BasicBlock *Late = F->createBlock("late");
+  B.setInsertPoint(Late);
+  B.createBr(E);
+  for (const auto &X : F->blocks()) {
+    EXPECT_EQ(DT.dominates(X.get(), Late), Ref.dominates(X.get(), Late));
+    EXPECT_EQ(DT.dominates(Late, X.get()), Ref.dominates(Late, X.get()));
+  }
+  EXPECT_FALSE(DT.isReachable(Late));
+  EXPECT_EQ(DT.idom(Late), nullptr);
+  EXPECT_EQ(DT.reversePostorder(), Ref.Rpo);
+}
+
+TEST(DominatorOracle, CorpusAsParsedAndAfterRandomActions) {
+  std::vector<std::string> Uris;
+  for (const char *Curated : {"benchmark://cbench-v1", "benchmark://chstone-v0"}) {
+    const datasets::Dataset *D =
+        datasets::DatasetRegistry::instance().dataset(Curated);
+    ASSERT_NE(D, nullptr) << Curated;
+    for (const std::string &Name : D->benchmarkNames(D->size()))
+      Uris.push_back(std::string(Curated) + "/" + Name);
+  }
+  for (const char *Generated : {"benchmark://csmith-v0",
+                                "benchmark://llvm-stress-v0",
+                                "benchmark://poj104-v1"})
+    for (int I = 0; I < 16; ++I)
+      Uris.push_back(std::string(Generated) + "/" + std::to_string(I));
+
+  const std::vector<std::string> &Actions =
+      passes::PassRegistry::instance().defaultActionNames();
+  constexpr int EpisodeLength = 6;
+  Rng Gen(0xD0D0);
+  for (const std::string &Uri : Uris) {
+    auto B = datasets::DatasetRegistry::instance().resolve(Uri);
+    ASSERT_TRUE(B.isOk()) << Uri;
+    auto Parsed = parseModule(B->IrText);
+    ASSERT_TRUE(Parsed.isOk()) << Uri;
+    std::unique_ptr<Module> M = Parsed.takeValue();
+    expectModuleMatchesReference(*M, Uri + " as parsed");
+    if (HasFatalFailure())
+      return;
+    passes::PassManager PM(*M);
+    PM.setVerifyPreservation(false);
+    // Every step starts with a cached tree per function, so a block-merge
+    // step patches them; the episode ends with one to be sure it runs.
+    for (int Step = 0; Step <= EpisodeLength; ++Step) {
+      const std::string &Action = Step < EpisodeLength
+                                      ? Actions[Gen.bounded(Actions.size())]
+                                      : std::string("block-merge");
+      for (const auto &F : M->functions())
+        (void)PM.analysisManager().domTree(*F);
+      ASSERT_TRUE(PM.run(Action).isOk()) << Uri << " " << Action;
+      expectModuleMatchesReference(*M, Uri + " after " + Action,
+                                   &PM.analysisManager());
+      if (HasFatalFailure())
+        return;
+    }
+  }
 }
 
 } // namespace
