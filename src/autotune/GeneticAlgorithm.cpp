@@ -47,25 +47,6 @@ public:
       return E.episodeReward();
     };
 
-    // Fitness for a batch of genomes, fanned out across the evaluation
-    // pool: each genome is an independent reset + stepDirect, so
-    // candidates parallelize perfectly. Reward telescoping makes this
-    // equivalent to the sequential no-reset evaluation — the episode
-    // reward after applying a full choice vector is the size reduction
-    // from the default config either way. Budget note: the pooled path
-    // checks the budget per batch, so a tight MaxCompilations can
-    // overshoot by at most one batch.
-    auto evaluatePooled = [&](const std::vector<std::vector<int64_t>> &Genomes)
-        -> StatusOr<std::vector<double>> {
-      CG_ASSIGN_OR_RETURN(std::vector<double> Fitness,
-                          EvalPool->evaluateDirect(Genomes));
-      for (size_t I = 0; I < Genomes.size(); ++I) {
-        Tracker.addCompilation();
-        Tracker.addSteps(1);
-      }
-      return Fitness;
-    };
-
     auto randomGenome = [&] {
       std::vector<int64_t> Genome(Options.size());
       for (size_t I = 0; I < Options.size(); ++I)
@@ -81,30 +62,15 @@ public:
     std::vector<Individual> Population;
 
     // Seed population: the default config plus randoms.
-    if (EvalPool) {
-      // The batch is capped by the remaining compilation budget so the
-      // parallel path honors MaxCompilations like the sequential one.
-      std::vector<std::vector<int64_t>> Seeds;
-      Seeds.push_back(Spec.defaultChoices());
-      size_t SeedCap =
-          std::min(PopulationSize,
-                   std::max<size_t>(1, Tracker.remainingCompilations()));
-      while (Seeds.size() < SeedCap && !Tracker.exhausted())
-        Seeds.push_back(randomGenome());
-      CG_ASSIGN_OR_RETURN(std::vector<double> Fitness, evaluatePooled(Seeds));
-      for (size_t I = 0; I < Seeds.size(); ++I)
-        Population.push_back(Individual{std::move(Seeds[I]), Fitness[I]});
-    } else {
-      Individual Default;
-      Default.Genome = Spec.defaultChoices();
-      CG_ASSIGN_OR_RETURN(Default.Fitness, evaluate(Default.Genome));
-      Population.push_back(std::move(Default));
-      while (Population.size() < PopulationSize && !Tracker.exhausted()) {
-        Individual Ind;
-        Ind.Genome = randomGenome();
-        CG_ASSIGN_OR_RETURN(Ind.Fitness, evaluate(Ind.Genome));
-        Population.push_back(std::move(Ind));
-      }
+    Individual Default;
+    Default.Genome = Spec.defaultChoices();
+    CG_ASSIGN_OR_RETURN(Default.Fitness, evaluate(Default.Genome));
+    Population.push_back(std::move(Default));
+    while (Population.size() < PopulationSize && !Tracker.exhausted()) {
+      Individual Ind;
+      Ind.Genome = randomGenome();
+      CG_ASSIGN_OR_RETURN(Ind.Fitness, evaluate(Ind.Genome));
+      Population.push_back(std::move(Ind));
     }
 
     auto updateBest = [&] {
@@ -156,23 +122,11 @@ public:
         return Genome;
       };
 
-      if (EvalPool) {
-        std::vector<std::vector<int64_t>> Children;
-        size_t ChildCap = std::min(Population.size() - Next.size(),
-                                   Tracker.remainingCompilations());
-        while (Children.size() < ChildCap && !Tracker.exhausted())
-          Children.push_back(makeChild());
-        CG_ASSIGN_OR_RETURN(std::vector<double> Fitness,
-                            evaluatePooled(Children));
-        for (size_t I = 0; I < Children.size(); ++I)
-          Next.push_back(Individual{std::move(Children[I]), Fitness[I]});
-      } else {
-        while (Next.size() < Population.size() && !Tracker.exhausted()) {
-          Individual Child;
-          Child.Genome = makeChild();
-          CG_ASSIGN_OR_RETURN(Child.Fitness, evaluate(Child.Genome));
-          Next.push_back(std::move(Child));
-        }
+      while (Next.size() < Population.size() && !Tracker.exhausted()) {
+        Individual Child;
+        Child.Genome = makeChild();
+        CG_ASSIGN_OR_RETURN(Child.Fitness, evaluate(Child.Genome));
+        Next.push_back(std::move(Child));
       }
       Population = std::move(Next);
       updateBest();

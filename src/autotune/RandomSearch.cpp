@@ -17,7 +17,6 @@
 
 #include "envs/gcc/GccSession.h"
 
-#include <algorithm>
 
 using namespace compiler_gym;
 using namespace compiler_gym::autotune;
@@ -45,8 +44,6 @@ public:
         Result.BestActions = WarmStart;
       }
     }
-    if (EvalPool)
-      return runPooled(E, Tracker, Result);
     while (!Tracker.exhausted()) {
       CG_ASSIGN_OR_RETURN(service::Observation Obs, E.reset());
       (void)Obs;
@@ -82,43 +79,6 @@ public:
   }
 
 private:
-  /// Pool-backed fan-out: random fixed-length candidates are evaluated
-  /// concurrently across the pool workers. Patience-adaptive episode
-  /// lengths do not vectorize, so candidates use Patience as the sequence
-  /// length — the mean episode length of the sequential variant.
-  StatusOr<SearchResult> runPooled(core::CompilerEnv &E,
-                                   BudgetTracker &Tracker,
-                                   SearchResult Result) {
-    CG_ASSIGN_OR_RETURN(service::Observation Obs, E.reset());
-    (void)Obs;
-    size_t NumActions = E.actionSpace().size();
-    size_t SequenceLength = std::max<size_t>(1, Patience);
-    while (!Tracker.exhausted()) {
-      size_t Batch = std::min(EvalPool->size() * 2,
-                              Tracker.remainingCompilations());
-      std::vector<std::vector<int>> Candidates(Batch);
-      for (std::vector<int> &Candidate : Candidates) {
-        Candidate.resize(SequenceLength);
-        for (int &A : Candidate)
-          A = static_cast<int>(Gen.bounded(NumActions));
-      }
-      CG_ASSIGN_OR_RETURN(std::vector<double> Rewards,
-                          EvalPool->evaluateSequences(Candidates));
-      for (size_t I = 0; I < Candidates.size(); ++I) {
-        Tracker.addCompilation();
-        Tracker.addSteps(Candidates[I].size());
-        if (Rewards[I] > Result.BestReward) {
-          Result.BestReward = Rewards[I];
-          Result.BestActions = Candidates[I];
-        }
-      }
-    }
-    Result.StepsUsed = Tracker.steps();
-    Result.CompilationsUsed = Tracker.compilations();
-    Result.WallSeconds = Tracker.wallSeconds();
-    return Result;
-  }
-
   Rng Gen;
   size_t Patience;
 };

@@ -16,11 +16,9 @@
 #define COMPILER_GYM_AUTOTUNE_SEARCH_H
 
 #include "core/CompilerEnv.h"
-#include "runtime/EnvPool.h"
 #include "util/Rng.h"
 #include "util/Timer.h"
 
-#include <limits>
 #include <memory>
 #include <string>
 
@@ -63,17 +61,8 @@ public:
     WarmStart = std::move(Actions);
   }
 
-  /// Attaches a parallel evaluation pool. Searches that support it
-  /// (RandomSearch, the GCC genetic algorithm) evaluate candidates
-  /// concurrently across the pool's workers instead of sequentially on the
-  /// run() env; others ignore it. The pool must be configured for the same
-  /// environment/benchmark as the env passed to run(), and stays owned by
-  /// the caller.
-  void setEvaluationPool(runtime::EnvPool *Pool) { EvalPool = Pool; }
-
 protected:
   std::vector<int> WarmStart; ///< Empty = no warm start.
-  runtime::EnvPool *EvalPool = nullptr; ///< Optional parallel evaluator.
 };
 
 /// Budget bookkeeping shared by implementations.
@@ -94,18 +83,6 @@ public:
 
   void addSteps(size_t N) { Steps += N; }
   void addCompilation() { ++Compilations; }
-
-  /// Compilations left before MaxCompilations trips; SIZE_MAX when that
-  /// budget axis is unbounded. Pool-backed searches cap their batch sizes
-  /// with this so parallel evaluation honors the same budget contract as
-  /// sequential evaluation (overshoot bounded by zero, not a batch).
-  size_t remainingCompilations() const {
-    if (!Budget.MaxCompilations)
-      return std::numeric_limits<size_t>::max();
-    return Budget.MaxCompilations > Compilations
-               ? Budget.MaxCompilations - Compilations
-               : 0;
-  }
 
   size_t steps() const { return Steps; }
   size_t compilations() const { return Compilations; }

@@ -229,18 +229,6 @@ Status CompilerEnv::recover() {
       << LastStateKey << ", " << State.Actions.size()
       << " actions in replay fallback)";
   SessionLive = false;
-  // Replay the whole episode in one batched, observation-free request.
-  std::vector<Action> Replay;
-  if (!DirectHistory.empty()) {
-    Replay = DirectHistory;
-  } else {
-    Replay.reserve(State.Actions.size());
-    for (int A : State.Actions) {
-      Action Act;
-      Act.Index = A;
-      Replay.push_back(Act);
-    }
-  }
   Status Last = Status::ok();
   uint64_t StaleSession = SessionId;
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
@@ -278,21 +266,28 @@ Status CompilerEnv::recover() {
           << "restored state " << LastStateKey << " from snapshot";
       return Status::ok();
     }
-    if (Replay.empty())
-      return Status::ok();
-    replayedActionsTotal().inc(Replay.size());
-    StepRequest Req;
-    Req.SessionId = SessionId;
-    Req.Actions = Replay;
-    StatusOr<StepReply> Reply = Client->step(Req);
-    if (Reply.isOk())
-      return Status::ok();
-    Last = Reply.status();
-    if (!isRecoverableFailure(Last))
+    Last = replayHistory();
+    if (Last.isOk() || !isRecoverableFailure(Last))
       return Last;
     SessionLive = false;
   }
   return Last;
+}
+
+Status CompilerEnv::replayHistory() {
+  StepRequest Req;
+  Req.SessionId = SessionId;
+  if (!DirectHistory.empty()) {
+    Req.Actions = DirectHistory;
+  } else {
+    Req.Actions.resize(State.Actions.size());
+    for (size_t I = 0; I < State.Actions.size(); ++I)
+      Req.Actions[I].Index = State.Actions[I];
+  }
+  if (Req.Actions.empty())
+    return Status::ok();
+  replayedActionsTotal().inc(Req.Actions.size());
+  return Client->step(Req).status();
 }
 
 Status CompilerEnv::settleWireObservations(StepReply &Reply) {
@@ -642,29 +637,10 @@ Status CompilerEnv::rebase(CompilerEnv &Parent) {
   CG_RETURN_IF_ERROR(startSession(Parent.LastStateKey, &Restored));
   State = Parent.State;
   DirectHistory = Parent.DirectHistory;
-  if (!Restored) {
-    // No snapshot survives for the parent's state (parent never stepped,
-    // or the store evicted it): replay its history, observation-free.
-    std::vector<Action> Replay;
-    if (!DirectHistory.empty()) {
-      Replay = DirectHistory;
-    } else {
-      Replay.reserve(State.Actions.size());
-      for (int A : State.Actions) {
-        Action Act;
-        Act.Index = A;
-        Replay.push_back(Act);
-      }
-    }
-    if (!Replay.empty()) {
-      replayedActionsTotal().inc(Replay.size());
-      StepRequest Req;
-      Req.SessionId = SessionId;
-      Req.Actions = Replay;
-      CG_ASSIGN_OR_RETURN(StepReply Reply, Client->step(Req));
-      (void)Reply;
-    }
-  }
+  // No snapshot survives for the parent's state (parent never stepped, or
+  // the store evicted it): replay its history.
+  if (!Restored)
+    CG_RETURN_IF_ERROR(replayHistory());
   // Content-addressed: the session now sits at the parent's state, so the
   // parent's key names it regardless of how we got here.
   LastStateKey = Parent.LastStateKey;

@@ -184,6 +184,11 @@ private:
   /// one survives (zero actions replayed), else by replaying the episode.
   Status recover();
 
+  /// Replays the committed episode history (DirectHistory, else
+  /// State.Actions) on the current session in one observation-free batched
+  /// step: the fallback when no snapshot of the state survives.
+  Status replayHistory();
+
   /// Issues \p Req with recovery-and-retry: a recoverable failure
   /// (crash/hang/session loss) restarts the service, replays the episode,
   /// refreshes the session id and retries, for a few rounds. A request

@@ -47,7 +47,6 @@ public:
       std::lock_guard<std::mutex> Lock(Mutex);
       auto It = Map.find(Key);
       if (It != Map.end()) {
-        ++Hits;
         Lru.splice(Lru.begin(), Lru, It->second.LruIt);
         // Structural sharing: the session's module aliases the cached
         // master's function payloads; the pass layer copies a function
@@ -55,7 +54,6 @@ public:
         // O(#functions).
         return It->second.Mod->share();
       }
-      ++Misses;
     }
     StatusOr<std::unique_ptr<ir::Module>> Parsed =
         ir::parseModule(Bench.IrText);
@@ -81,11 +79,7 @@ public:
     std::lock_guard<std::mutex> Lock(Mutex);
     Map.clear();
     Lru.clear();
-    Hits = Misses = 0;
   }
-
-  uint64_t hits() const { return Hits; }
-  uint64_t misses() const { return Misses; }
 
 private:
   struct Entry {
@@ -96,7 +90,6 @@ private:
   std::mutex Mutex;
   std::unordered_map<uint64_t, Entry> Map;
   std::list<uint64_t> Lru;
-  uint64_t Hits = 0, Misses = 0;
 };
 
 /// Observation-space ids: dense indices into the dispatch table.
@@ -193,10 +186,6 @@ std::vector<ObservationSpaceInfo> llvmObservationSpaces() {
 
 LlvmSession::LlvmSession() = default;
 
-uint64_t LlvmSession::cacheHits() { return BenchmarkCache::instance().hits(); }
-uint64_t LlvmSession::cacheMisses() {
-  return BenchmarkCache::instance().misses();
-}
 void LlvmSession::clearBenchmarkCache() { BenchmarkCache::instance().clear(); }
 
 std::vector<ActionSpace> LlvmSession::getActionSpaces() {

@@ -66,9 +66,8 @@ public:
   /// nullptr before init().
   passes::PassManager *passManager() { return PM.get(); }
 
-  /// Process-wide parsed-benchmark cache statistics (Table II ablation).
-  static uint64_t cacheHits();
-  static uint64_t cacheMisses();
+  /// Empties the process-wide parsed-benchmark cache, so the next init()
+  /// of each benchmark parses it again (Table II's cold-init ablation).
   static void clearBenchmarkCache();
 
 private:

@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -767,33 +768,48 @@ struct Gateway::Impl {
     J.Reply(service::encodeReply(*Reply));
   }
 
-  /// Re-establishes \p Entry's backend session at its recorded state via
-  /// snapshot restore. Caller holds Entry->M. False = the state is
-  /// unreachable (snapshot gone) and the caller must drop the session.
-  bool tryRestore(SessionEntry &Entry) {
+  /// Starts a backend session on \p Shard at \p Entry's recorded state
+  /// via snapshot restore. Caller holds Entry.M. Returns the new backend
+  /// session id, or nullopt when the state is unreachable there (snapshot
+  /// gone); a session that came up at the wrong state is ended first.
+  std::optional<uint64_t> restoreOn(size_t Shard, const SessionEntry &Entry) {
     RequestEnvelope R;
     R.Kind = RequestKind::StartSession;
     R.Start = Entry.Start;
     R.Start.RestoreStateKey = Entry.LastStateKey;
-    size_t Shard = Entry.Shard.load(std::memory_order_relaxed);
     StatusOr<ReplyEnvelope> Reply = backendCall(Shard, R);
     if (!Reply.isOk() || Reply->Code != StatusCode::Ok)
-      return false;
+      return std::nullopt;
     // A fresh (unrestored) session only matches when the episode never
     // stepped — its initial state *is* the recorded state.
-    if (Reply->Start.Restored || Entry.LastStateKey == 0) {
-      Entry.BackendId = Reply->Start.SessionId;
-      restoresTotal().inc();
-      CG_LOG_INFO_FOR("gateway", Entry.GwId)
-          << "restored backend session at state " << Entry.LastStateKey;
-      return true;
-    }
-    // Wrong state: give the orphan back before reporting failure.
+    if (Reply->Start.Restored || Entry.LastStateKey == 0)
+      return Reply->Start.SessionId;
+    endBackendSession(Shard, Reply->Start.SessionId);
+    return std::nullopt;
+  }
+
+  /// Best-effort EndSession for backend session \p Id (a crashed shard
+  /// already lost it).
+  void endBackendSession(size_t Shard, uint64_t Id) {
     RequestEnvelope End;
     End.Kind = RequestKind::EndSession;
-    End.End.SessionId = Reply->Start.SessionId;
+    End.End.SessionId = Id;
     (void)backendCall(Shard, End);
-    return false;
+  }
+
+  /// Re-establishes \p Entry's backend session on its own shard. Caller
+  /// holds Entry.M. False = the state is unreachable (snapshot gone) and
+  /// the caller must drop the session.
+  bool tryRestore(SessionEntry &Entry) {
+    std::optional<uint64_t> Id =
+        restoreOn(Entry.Shard.load(std::memory_order_relaxed), Entry);
+    if (!Id)
+      return false;
+    Entry.BackendId = *Id;
+    restoresTotal().inc();
+    CG_LOG_INFO_FOR("gateway", Entry.GwId)
+        << "restored backend session at state " << Entry.LastStateKey;
+    return true;
   }
 
   void processStep(Job &J) {
@@ -927,38 +943,22 @@ struct Gateway::Impl {
         // Nowhere to go: the session stays; the shard keeps serving it.
         continue;
       }
-      RequestEnvelope R;
-      R.Kind = RequestKind::StartSession;
-      R.Start = Entry.Start;
-      R.Start.RestoreStateKey = Entry.LastStateKey;
-      StatusOr<ReplyEnvelope> Reply = backendCall(Target, R);
-      bool Landed = Reply.isOk() && Reply->Code == StatusCode::Ok &&
-                    (Reply->Start.Restored || Entry.LastStateKey == 0);
-      if (!Landed) {
-        if (Reply.isOk() && Reply->Code == StatusCode::Ok) {
-          RequestEnvelope End;
-          End.Kind = RequestKind::EndSession;
-          End.End.SessionId = Reply->Start.SessionId;
-          (void)backendCall(Target, End);
-        }
+      std::optional<uint64_t> Id = restoreOn(Target, Entry);
+      // The old backend session goes whether or not the state moved.
+      endBackendSession(Index, Entry.BackendId);
+      if (!Id) {
         unreserveShard(Target);
         // Snapshot is gone: the client must replay. Drop the entry so its
         // next op reports session loss.
         dropSession(Entry);
         continue;
       }
-      // Retire the old backend session (best-effort; a crashed shard
-      // already lost it).
-      RequestEnvelope End;
-      End.Kind = RequestKind::EndSession;
-      End.End.SessionId = Entry.BackendId;
-      (void)backendCall(Index, End);
       {
         std::lock_guard<std::mutex> Lock(SessionsM);
         --ShardSessions[Index];
       }
       Entry.Shard.store(Target, std::memory_order_relaxed);
-      Entry.BackendId = Reply->Start.SessionId;
+      Entry.BackendId = *Id;
       ++Moved;
       migrationsTotal().inc();
       CG_LOG_INFO_FOR("gateway", Entry.GwId)

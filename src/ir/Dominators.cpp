@@ -8,7 +8,6 @@
 
 #include "ir/CFG.h"
 
-#include <algorithm>
 #include <deque>
 
 using namespace compiler_gym;
@@ -54,7 +53,6 @@ DominatorTree::DominatorTree(const Function &F) {
     Rpo.push_back(Preds.block(Idx));
     Node.emplace(Rpo.back(), I);
   }
-  NodeBlock = Rpo;
 
   // Reachable predecessors of each node, as node numbers.
   std::vector<unsigned> PredStart(N + 1, 0), PredNodes;
@@ -111,23 +109,6 @@ DominatorTree::DominatorTree(const Function &F) {
   }
 }
 
-void DominatorTree::applyBlockMerged(BasicBlock *Into,
-                                     const BasicBlock *Gone) {
-  auto It = Node.find(Gone);
-  if (It == Node.end())
-    return; // Unreachable at analysis time: not in the tree.
-  unsigned G = It->second;
-  unsigned I = IdomNode[G];
-  assert(NodeBlock[I] == Into && "merged block's idom is not its pred");
-  (void)Into;
-  for (unsigned &ID : IdomNode)
-    if (ID == G)
-      ID = I;
-  Node.erase(It);
-  NodeBlock[G] = nullptr;
-  Rpo.erase(std::find(Rpo.begin(), Rpo.end(), Gone));
-}
-
 bool DominatorTree::dominates(const BasicBlock *A, const BasicBlock *B) const {
   auto BIt = Node.find(B);
   if (BIt == Node.end())
@@ -143,7 +124,7 @@ BasicBlock *DominatorTree::idom(const BasicBlock *BB) const {
   auto It = Node.find(BB);
   if (It == Node.end() || IdomNode[It->second] == It->second)
     return nullptr;
-  return NodeBlock[IdomNode[It->second]];
+  return Rpo[IdomNode[It->second]];
 }
 
 std::vector<NaturalLoop>

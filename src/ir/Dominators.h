@@ -52,23 +52,9 @@ public:
   /// compare a cached tree against a from-scratch recomputation.
   bool structurallyEquals(const Function &F, const DominatorTree &Other) const;
 
-  /// Exact incremental update for the linear-chain block merge (\p Gone,
-  /// the unique successor of \p Into with \p Into as its unique
-  /// predecessor, was spliced into \p Into and erased). The patch is
-  /// provably equivalent to a recomputation: \p Gone's idom was \p Into,
-  /// so blocks immediately dominated by \p Gone retarget to \p Into, and
-  /// removing \p Gone from the postorder leaves every other block's
-  /// relative DFS order unchanged (the merged block expands \p Gone's old
-  /// successor list in place). The subtree intervals stay exact: \p Gone's
-  /// lies inside \p Into's and holds its children's. \p Gone may already
-  /// be destroyed; it is used only as a key.
-  void applyBlockMerged(BasicBlock *Into, const BasicBlock *Gone);
-
 private:
-  /// Reachable block -> node, its reverse-postorder position at build
-  /// time. Node numbers stay fixed when applyBlockMerged drops a node.
+  /// Reachable block -> node, its reverse-postorder position (Rpo[node]).
   std::unordered_map<const BasicBlock *, unsigned> Node;
-  std::vector<BasicBlock *> NodeBlock;
   std::vector<unsigned> IdomNode; ///< The entry's idom is itself.
   /// Preorder number and subtree size of each node: A dominates B iff
   /// In[A] <= In[B] < In[A] + Size[A].

@@ -50,17 +50,6 @@ telemetry::Counter &analysisInvalidations(const char *Kind) {
   return Loops;
 }
 
-telemetry::Counter &domTreeUpdates(bool Incremental) {
-  static telemetry::MetricsRegistry &M = telemetry::MetricsRegistry::global();
-  static const char *Help =
-      "Dominator trees built (full) or patched in place (incremental)";
-  static telemetry::Counter &Inc = M.counter(
-      "cg_domtree_updates_total", {{"kind", "incremental"}}, Help);
-  static telemetry::Counter &Full =
-      M.counter("cg_domtree_updates_total", {{"kind", "full"}}, Help);
-  return Incremental ? Inc : Full;
-}
-
 } // namespace
 
 const DominatorTree &AnalysisManager::domTree(const Function &F) {
@@ -70,7 +59,6 @@ const DominatorTree &AnalysisManager::domTree(const Function &F) {
   } else {
     E.DT = std::make_unique<DominatorTree>(F);
     analysisLookup("domtree", false).inc();
-    domTreeUpdates(false).inc();
   }
   return *E.DT;
 }
@@ -152,15 +140,6 @@ void AnalysisManager::cowDetached(const Function *Old, const Function *Copy) {
 void AnalysisManager::adoptFrom(const AnalysisManager &O) {
   Cache.clear();
   Features = O.Features;
-}
-
-void AnalysisManager::blockMerged(const Function &F, BasicBlock *Into,
-                                  const BasicBlock *Gone) {
-  auto It = Cache.find(&F);
-  if (It == Cache.end() || !It->second.DT)
-    return;
-  It->second.DT->applyBlockMerged(Into, Gone);
-  domTreeUpdates(true).inc();
 }
 
 bool AnalysisManager::isCached(const Function &F, AnalysisKind Kind) const {

@@ -181,13 +181,6 @@ public:
   /// it and would drop the parent's trees unread.
   void adoptFrom(const AnalysisManager &O);
 
-  /// Exact incremental dominator-tree maintenance: the linear-chain merge
-  /// of \p Gone into \p Into ran on \p F (see
-  /// ir::DominatorTree::applyBlockMerged). Patches a cached tree in place
-  /// instead of dropping it.
-  void blockMerged(const ir::Function &F, ir::BasicBlock *Into,
-                   const ir::BasicBlock *Gone);
-
   /// True if \p F currently has a cached result of \p Kind (test hook and
   /// preservation-verifier input).
   bool isCached(const ir::Function &F, AnalysisKind Kind) const;

@@ -54,8 +54,6 @@ public:
 
   std::string name() const override { return PassName; }
 
-  unsigned requiredAnalyses() const override { return AK_DomTree; }
-
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     const DominatorTree &DT = AM.domTree(F);
     StableValueIds Ids(F);

@@ -54,8 +54,6 @@ class LoopSimplifyPass : public FunctionPass {
 public:
   std::string name() const override { return "loop-simplify"; }
 
-  unsigned requiredAnalyses() const override { return AK_DomTree | AK_Loops; }
-
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     bool Changed = false;
     bool LocalChange = true;
@@ -144,8 +142,6 @@ public:
   std::string name() const override {
     return HoistLoads ? "licm-promote" : "licm";
   }
-
-  unsigned requiredAnalyses() const override { return AK_DomTree | AK_Loops; }
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     const std::vector<NaturalLoop> &Loops = AM.loops(F);
@@ -238,8 +234,6 @@ public:
   std::string name() const override {
     return "loop-unroll<" + std::to_string(MaxTripCount) + ">";
   }
-
-  unsigned requiredAnalyses() const override { return AK_DomTree | AK_Loops; }
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     bool Changed = false;
@@ -473,8 +467,6 @@ private:
 class LoopDeletePass : public FunctionPass {
 public:
   std::string name() const override { return "loop-delete"; }
-
-  unsigned requiredAnalyses() const override { return AK_DomTree | AK_Loops; }
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     bool Changed = false;

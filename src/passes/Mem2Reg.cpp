@@ -33,8 +33,6 @@ class Mem2RegPass : public FunctionPass {
 public:
   std::string name() const override { return "mem2reg"; }
 
-  unsigned requiredAnalyses() const override { return AK_DomTree; }
-
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     // Unreachable code would leave phis without matching incoming edges.
     bool CfgChanged = removeUnreachableBlocks(F);

@@ -38,10 +38,6 @@ public:
   /// The registry name (stable, used as the environment action name).
   virtual std::string name() const = 0;
 
-  /// AnalysisKind mask of analyses this pass consumes. Informational (the
-  /// manager computes lazily); lets tooling pre-warm or audit pipelines.
-  virtual unsigned requiredAnalyses() const { return 0; }
-
   /// Applies the transform. Implementations must report invalidation to
   /// \p AM at the finest granularity available — FunctionPass does this per
   /// changed function; module-scoped passes invalidate module-wide and

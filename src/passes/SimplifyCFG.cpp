@@ -11,7 +11,6 @@
 #include "ir/Dominators.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,13 +49,7 @@ bool foldBranches(Function &F, Module &M) {
 
 /// Merges a block into its unique successor when that successor has a
 /// unique predecessor (LLVM's "merge block into predecessor").
-/// \p OnMerge, when set, is told about every (surviving, erased) pair
-/// before the erased block is destroyed — the hook behind incremental
-/// dominator-tree maintenance.
-using MergeCallback =
-    std::function<void(BasicBlock *Into, const BasicBlock *Gone)>;
-
-bool mergeLinearChains(Function &F, const MergeCallback &OnMerge = nullptr) {
+bool mergeLinearChains(Function &F) {
   if (F.numBlocks() < 2)
     return false;
   PredecessorTable Preds(F);
@@ -98,8 +91,6 @@ bool mergeLinearChains(Function &F, const MergeCallback &OnMerge = nullptr) {
       Preds.removeEdge(Succ, After);
       Preds.addEdge(BB, After);
     }
-    if (OnMerge)
-      OnMerge(BB, Succ);
     if (Preds.index(Succ) < Preds.index(BB))
       --I; // Erasing Succ shifts BB down one position.
     F.eraseBlock(Succ);
@@ -201,16 +192,8 @@ class BlockMergePass : public FunctionPass {
 public:
   std::string name() const override { return "block-merge"; }
 
-  PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
-    // Each merge is applied to a cached dominator tree in place (an exact
-    // patch — see DominatorTree::applyBlockMerged), so the tree survives
-    // the pass. Loop info does not: a merged latch changes Latches sets.
-    bool Changed = mergeLinearChains(
-        F, [&](BasicBlock *Into, const BasicBlock *Gone) {
-          AM.blockMerged(F, Into, Gone);
-        });
-    return PassResult::make(
-        Changed, PreservedAnalyses::none().preserve(AK_DomTree));
+  PassResult runOnFunction(Function &F, AnalysisManager &) override {
+    return PassResult::make(mergeLinearChains(F), PreservedAnalyses::none());
   }
 };
 
@@ -297,8 +280,6 @@ public:
 class CanonicalizeBlockOrderPass : public FunctionPass {
 public:
   std::string name() const override { return "canonicalize-block-order"; }
-
-  unsigned requiredAnalyses() const override { return AK_DomTree; }
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     const DominatorTree &DT = AM.domTree(F);

@@ -228,61 +228,6 @@ Status EnvPool::collect(size_t Episodes, const EpisodeFn &Fn) {
   });
 }
 
-StatusOr<std::vector<double>> EnvPool::evaluateSequences(
-    const std::vector<std::vector<int>> &Candidates) {
-  CG_TRACE_SPAN("pool.evaluate", "runtime");
-  std::vector<double> Rewards(Candidates.size(), 0.0);
-  std::atomic<size_t> Next{0};
-  Status S = forEachWorker([&](size_t W) -> Status {
-    for (;;) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Candidates.size())
-        return Status::ok();
-      CG_ASSIGN_OR_RETURN(service::Observation Obs, Envs[W]->reset());
-      (void)Obs;
-      if (!Candidates[I].empty()) {
-        CG_ASSIGN_OR_RETURN(core::StepResult R, Envs[W]->step(Candidates[I]));
-        (void)R;
-      }
-      Rewards[I] = Envs[W]->episodeReward();
-      episodesTotal().inc();
-      stepsTotal().inc(Candidates[I].size());
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodeReward.add(Rewards[I]);
-    }
-  });
-  if (!S.isOk())
-    return S;
-  return Rewards;
-}
-
-StatusOr<std::vector<double>> EnvPool::evaluateDirect(
-    const std::vector<std::vector<int64_t>> &Candidates) {
-  CG_TRACE_SPAN("pool.evaluate", "runtime");
-  std::vector<double> Rewards(Candidates.size(), 0.0);
-  std::atomic<size_t> Next{0};
-  Status S = forEachWorker([&](size_t W) -> Status {
-    for (;;) {
-      size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Candidates.size())
-        return Status::ok();
-      CG_ASSIGN_OR_RETURN(service::Observation Obs, Envs[W]->reset());
-      (void)Obs;
-      CG_ASSIGN_OR_RETURN(core::StepResult R,
-                          Envs[W]->stepDirect(Candidates[I]));
-      (void)R;
-      Rewards[I] = Envs[W]->episodeReward();
-      episodesTotal().inc();
-      stepsTotal().inc();
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      Aggregate.EpisodeReward.add(Rewards[I]);
-    }
-  });
-  if (!S.isOk())
-    return S;
-  return Rewards;
-}
-
 StatusOr<std::vector<double>> EnvPool::evaluateContinuations(
     core::CompilerEnv &Parent,
     const std::vector<std::vector<int>> &Candidates) {

@@ -8,16 +8,15 @@
 /// EnvPool: a vectorized front-end over M CompilerEnv workers attached to
 /// the shards of a ServiceBroker. The pool drives all M environments
 /// concurrently on a util::ThreadPool — resetAll() / stepBatch() for
-/// lock-step vectorized use (RL), collect() for episode-parallel use,
-/// evaluateSequences() / evaluateDirect() for autotuner candidate
-/// fan-out from the initial state, and evaluateContinuations() for
-/// candidate fan-out from a shared mid-episode prefix (O(1) snapshot
-/// forks instead of per-candidate reset+replay). Benchmark lists are
-/// sharded across workers via DatasetRegistry, and per-worker episode
-/// rewards aggregate into PoolStats. Crash recovery is inherited from the env
-/// layer: a worker whose shard dies restores its last snapshot (or
-/// replays its episode) on the restarted shard, so a pool run loses no
-/// episodes to injected (or real) compiler faults.
+/// lock-step vectorized use (RL), collect() for episode-parallel use, and
+/// evaluateContinuations() for autotuner candidate fan-out from a shared
+/// mid-episode prefix (O(1) snapshot forks instead of per-candidate
+/// reset+replay). Benchmark lists are sharded across workers via
+/// DatasetRegistry, and per-worker episode rewards aggregate into
+/// PoolStats. Crash recovery is inherited from the env layer: a worker
+/// whose shard dies restores its last snapshot (or replays its episode) on
+/// the restarted shard, so a pool run loses no episodes to injected (or
+/// real) compiler faults.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,16 +127,6 @@ public:
   Status collect(size_t Episodes, const EpisodeFn &Fn);
 
   // -- Autotuner fan-out ------------------------------------------------------
-
-  /// Evaluates candidate action sequences in parallel: each candidate runs
-  /// reset + one batched step on a worker env; result is the episode
-  /// reward, in candidate order.
-  StatusOr<std::vector<double>> evaluateSequences(
-      const std::vector<std::vector<int>> &Candidates);
-
-  /// Same for direct choice-vector candidates (GCC flag tuning).
-  StatusOr<std::vector<double>> evaluateDirect(
-      const std::vector<std::vector<int64_t>> &Candidates);
 
   /// Candidate *continuation* fan-out from \p Parent's current mid-episode
   /// state (the autotuner inner loop): evaluates each candidate action

@@ -7,7 +7,8 @@
 // structural sharing and pass-layer COW isolation, the content-addressed
 // SnapshotStore, fork-vs-replay equivalence along divergent action
 // sequences, replay-free crash recovery (asserted through the
-// cg_env_replayed_actions_total counter), and EnvPool candidate fan-out.
+// cg_env_replayed_actions_total counter) and its replay fallback when the
+// snapshot is gone, and EnvPool candidate fan-out.
 // The file runs under both the ASan (COW isolation: a leaked share is a
 // use-after-free factory) and TSan (concurrent rebases from one parent)
 // CI jobs.
@@ -248,6 +249,57 @@ TEST(Recovery, CrashRecoveryRestoresSnapshotWithZeroReplayedActions) {
   // Bit-identical to the uninterrupted episode.
   EXPECT_EQ(irHash(**Env), irHash(*Ref));
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), Ref->episodeReward());
+}
+
+TEST(Recovery, CrashWithEvictedSnapshotReplaysTheEpisode) {
+  auto Ref = makeLlvm();
+  ASSERT_TRUE(Ref->reset().isOk());
+  for (int Step = 0; Step < 10; ++Step)
+    ASSERT_TRUE(Ref->step(Step % 5).isOk());
+
+  auto Env = makeLlvm();
+  ASSERT_TRUE(Env->reset().isOk());
+  for (int Step = 0; Step < 5; ++Step)
+    ASSERT_TRUE(Env->step(Step % 5).isOk());
+  // With no snapshot of the committed state left, recovery from a crash on
+  // the 6th step must replay the 5 committed actions.
+  SnapshotStore::global().clear();
+  fault::FaultPlanSpec Plan;
+  Plan.Rules.push_back({.Point = "service.handle",
+                        .Kind = fault::FaultKind::Crash,
+                        .MaxFires = 1});
+  const uint64_t RecoveriesBefore = recoveries();
+  const uint64_t ReplayedBefore = replayedActions();
+  {
+    fault::ScopedFaultPlan Armed(Plan);
+    auto R = Env->step(5 % 5);
+    ASSERT_TRUE(R.isOk()) << R.status().toString();
+  }
+  EXPECT_EQ(recoveries() - RecoveriesBefore, 1u);
+  EXPECT_EQ(replayedActions() - ReplayedBefore, 5u);
+  for (int Step = 6; Step < 10; ++Step)
+    ASSERT_TRUE(Env->step(Step % 5).isOk());
+  EXPECT_EQ(irHash(*Env), irHash(*Ref));
+  EXPECT_DOUBLE_EQ(Env->episodeReward(), Ref->episodeReward());
+  EXPECT_EQ(Env->state().Actions, Ref->state().Actions);
+}
+
+TEST(Recovery, RebaseWithEvictedSnapshotReplaysParentHistory) {
+  auto Parent = makeLlvm();
+  ASSERT_TRUE(Parent->reset().isOk());
+  ASSERT_TRUE(Parent->step({0, 1, 2, 3}).isOk());
+  auto Env = makeLlvm();
+  ASSERT_TRUE(Env->reset().isOk());
+
+  SnapshotStore::global().clear();
+  const uint64_t ReplayedBefore = replayedActions();
+  ASSERT_TRUE(Env->rebase(*Parent).isOk());
+  EXPECT_EQ(replayedActions() - ReplayedBefore, 4u);
+  // Neither env read IrHash before the rebase, so both compute it now
+  // rather than the rebased env echoing a copied view cache.
+  EXPECT_EQ(irHash(*Env), irHash(*Parent));
+  EXPECT_DOUBLE_EQ(Env->episodeReward(), Parent->episodeReward());
+  EXPECT_EQ(Env->episodeLength(), Parent->episodeLength());
 }
 
 // -- EnvPool candidate fan-out -------------------------------------------------

@@ -14,6 +14,7 @@
 #include "envs/llvm/LlvmSession.h"
 #include "fault/FaultRegistry.h"
 #include "gateway/Gateway.h"
+#include "ir/Snapshot.h"
 #include "net/SocketTransport.h"
 #include "service/Serialization.h"
 #include "service/ServiceClient.h"
@@ -463,6 +464,40 @@ TEST(Gateway, TransparentlyRestoresSessionAfterShardRestart) {
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
 }
 
+TEST(Gateway, RestartWithEvictedSnapshotReplaysWithoutOrphans) {
+  GatewayOptions Opts;
+  Opts.NumShards = 1;
+  telemetry::Counter &Replayed = series("cg_env_replayed_actions_total");
+  auto Gw = serveGateway(std::move(Opts), "restore-evicted");
+  auto Env = connectEnv(*Gw, "");
+  ASSERT_TRUE(Env.isOk());
+  ASSERT_TRUE((*Env)->reset().isOk());
+  ASSERT_TRUE((*Env)->step(0).isOk());
+  ASSERT_TRUE((*Env)->step(1).isOk());
+
+  // The shard loses its sessions and no snapshot of the state is left:
+  // the gateway's restore comes up at the wrong state, so it must end that
+  // session, and the client replays its episode into a new one.
+  Gw->broker().shardService(0)->restart();
+  ir::SnapshotStore::global().clear();
+  const uint64_t ReplayedBefore = Replayed.value();
+  auto R = (*Env)->step(2);
+  ASSERT_TRUE(R.isOk()) << R.status().toString();
+  EXPECT_EQ(Replayed.value() - ReplayedBefore, 2u);
+  EXPECT_EQ(Gw->broker().shardService(0)->numSessions(), 1u);
+
+  core::MakeOptions MO;
+  MO.Benchmark = Crc32;
+  MO.ObservationSpace = "Autophase";
+  MO.RewardSpace = "IrInstructionCount";
+  auto Control = core::make("llvm-v0", MO);
+  ASSERT_TRUE(Control.isOk());
+  ASSERT_TRUE((*Control)->reset().isOk());
+  for (int A : {0, 1, 2})
+    ASSERT_TRUE((*Control)->step(A).isOk());
+  EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
+}
+
 TEST(Gateway, SurvivesCrashyShardsMidEpisode) {
   // The control episode runs before the process-wide plan is armed; its
   // per-step observations are the reference.
@@ -539,6 +574,40 @@ TEST(Gateway, DrainMigratesLiveSessionMidEpisode) {
   ASSERT_TRUE(Control.isOk());
   ASSERT_TRUE((*Control)->reset().isOk());
   for (int A : {0, 1, 2, 3, 0})
+    ASSERT_TRUE((*Control)->step(A).isOk());
+  EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
+}
+
+TEST(Gateway, DrainWithEvictedSnapshotLeavesNoBackendSession) {
+  GatewayOptions Opts;
+  Opts.NumShards = 2;
+  auto Gw = serveGateway(std::move(Opts), "drain-evicted");
+  auto Env = connectEnv(*Gw, "");
+  ASSERT_TRUE(Env.isOk());
+  ASSERT_TRUE((*Env)->reset().isOk());
+  ASSERT_TRUE((*Env)->step(0).isOk());
+  ASSERT_TRUE((*Env)->step(1).isOk());
+  const size_t Home = Gw->broker().shardService(0)->numSessions() ? 0 : 1;
+  ASSERT_EQ(Gw->broker().shardService(Home)->numSessions(), 1u);
+
+  // Without a snapshot the session cannot move: the drain drops it, and
+  // the client replays its episode onto the other shard. The old backend
+  // session must not stay behind on the drained shard.
+  ir::SnapshotStore::global().clear();
+  EXPECT_EQ(Gw->drainShard(Home), 0u);
+  for (int A : {2, 3})
+    ASSERT_TRUE((*Env)->step(A).isOk());
+  EXPECT_EQ(Gw->broker().shardService(Home)->numSessions(), 0u);
+  EXPECT_EQ(Gw->broker().shardService(1 - Home)->numSessions(), 1u);
+
+  core::MakeOptions MO;
+  MO.Benchmark = Crc32;
+  MO.ObservationSpace = "Autophase";
+  MO.RewardSpace = "IrInstructionCount";
+  auto Control = core::make("llvm-v0", MO);
+  ASSERT_TRUE(Control.isOk());
+  ASSERT_TRUE((*Control)->reset().isOk());
+  for (int A : {0, 1, 2, 3})
     ASSERT_TRUE((*Control)->step(A).isOk());
   EXPECT_DOUBLE_EQ((*Env)->episodeReward(), (*Control)->episodeReward());
 }

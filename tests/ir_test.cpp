@@ -656,8 +656,8 @@ void expectMatchesReference(const Function &F, const DominatorTree &DT,
 }
 
 /// Checks a fresh tree of every function of \p M against the reference,
-/// and, given \p AM, the tree \p AM holds for it too (after block-merge,
-/// one patched in place by DominatorTree::applyBlockMerged).
+/// and, given \p AM, the tree \p AM holds for it too (a stale cached tree
+/// means the last pass changed the CFG without invalidating it).
 void expectModuleMatchesReference(const Module &M, const std::string &Where,
                                   passes::AnalysisManager *AM = nullptr) {
   for (const auto &F : M.functions()) {
@@ -758,8 +758,9 @@ TEST(DominatorOracle, CorpusAsParsedAndAfterRandomActions) {
       return;
     passes::PassManager PM(*M);
     PM.setVerifyPreservation(false);
-    // Every step starts with a cached tree per function, so a block-merge
-    // step patches them; the episode ends with one to be sure it runs.
+    // Every step starts with a cached tree per function, so each step
+    // checks that its pass drops the trees of the functions whose CFG it
+    // changed; the episode ends with a block-merge to be sure one runs.
     for (int Step = 0; Step <= EpisodeLength; ++Step) {
       const std::string &Action = Step < EpisodeLength
                                       ? Actions[Gen.bounded(Actions.size())]

@@ -510,19 +510,29 @@ TEST(FaultTolerance, ForkSurvivesOnSharedService) {
 }
 
 TEST(BenchmarkCache, AmortizesEnvironmentInit) {
+  // A cache hit hands the session a share() of the cached module, so its
+  // function payloads are the cached ones (O(1) init); a miss parses
+  // payloads of its own.
+  auto B = datasets::DatasetRegistry::instance().resolve(
+      "benchmark://cbench-v1/sha");
+  ASSERT_TRUE(B.isOk());
+  auto firstPayload = [&](envs::LlvmSession &S) -> const ir::Function * {
+    EXPECT_TRUE(S.init(S.getActionSpaces()[0], *B).isOk());
+    return S.module() ? S.module()->functions()[0].get() : nullptr;
+  };
   envs::LlvmSession::clearBenchmarkCache();
-  core::MakeOptions Opts;
-  Opts.Benchmark = "benchmark://cbench-v1/sha";
-  Opts.ObservationSpace = "none";
-  Opts.RewardSpace = "none";
-  auto Env = core::make("llvm-v0", Opts);
-  ASSERT_TRUE(Env.isOk());
-  uint64_t Misses0 = envs::LlvmSession::cacheMisses();
-  for (int I = 0; I < 5; ++I)
-    ASSERT_TRUE((*Env)->reset().isOk());
-  // One cold parse; every further reset is a cache hit (O(1) init).
-  EXPECT_EQ(envs::LlvmSession::cacheMisses(), Misses0 + 1);
-  EXPECT_GE(envs::LlvmSession::cacheHits(), 4u);
+  envs::LlvmSession Cold;
+  const ir::Function *Parsed = firstPayload(Cold);
+  ASSERT_NE(Parsed, nullptr);
+  // One cold parse; every further init is a cache hit.
+  for (int I = 0; I < 4; ++I) {
+    envs::LlvmSession Warm;
+    EXPECT_EQ(firstPayload(Warm), Parsed) << "init " << I;
+  }
+  // Cold keeps Parsed alive, so a re-parse cannot reuse its address.
+  envs::LlvmSession::clearBenchmarkCache();
+  envs::LlvmSession Reparsed;
+  EXPECT_NE(firstPayload(Reparsed), Parsed);
 }
 
 } // namespace
