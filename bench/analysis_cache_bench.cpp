@@ -23,7 +23,6 @@
 #include "bench/BenchUtils.h"
 
 #include "analysis/Autophase.h"
-#include "analysis/FeatureCache.h"
 #include "analysis/InstCount.h"
 #include "core/Registry.h"
 #include "datasets/CsmithGenerator.h"
@@ -47,7 +46,7 @@ int main() {
 
   // -- Part 1: feature observations, module level ---------------------------
   // Cold = whole-module rescan (the pre-refactor per-request behaviour).
-  // Warm = FeatureCache hit on an unchanged module.
+  // Warm = AnalysisManager hit on an unchanged module.
   // Dirty1 = exactly one function invalidated between requests.
   std::map<std::string, std::vector<double>> Cold, Warm, Dirty1;
   size_t CorpusFunctions = 0, CorpusModules = 0;
@@ -67,7 +66,7 @@ int main() {
     CorpusFunctions += M->functions().size();
     const ir::Function *First = M->functions().front().get();
 
-    analysis::FeatureCache Cache;
+    passes::AnalysisManager Cache;
     (void)Cache.instCount(*M); // Populate once.
     (void)Cache.autophase(*M);
 
@@ -93,13 +92,13 @@ int main() {
         Warm["Autophase"].push_back(W.elapsedMs());
       }
       {
-        Cache.invalidateFunction(First);
+        Cache.invalidate(*First, passes::PreservedAnalyses::cfg());
         Stopwatch W;
         (void)Cache.instCount(*M);
         Dirty1["InstCount"].push_back(W.elapsedMs());
       }
       {
-        Cache.invalidateFunction(First);
+        Cache.invalidate(*First, passes::PreservedAnalyses::cfg());
         Stopwatch W;
         (void)Cache.autophase(*M);
         Dirty1["Autophase"].push_back(W.elapsedMs());

@@ -9,7 +9,7 @@
 /// the paper's Table III singles out — ProGraML and Inst2vec — plus the
 /// wire-level delta encoding:
 ///   cold      = whole-module rescan (pre-refactor behaviour),
-///   warm      = FeatureCache hit on an unchanged module,
+///   warm      = AnalysisManager hit on an unchanged module,
 ///   one-dirty = exactly one function invalidated between requests,
 /// and a delta-vs-full wire-size column for one-function edits.
 ///
@@ -21,11 +21,11 @@
 
 #include "bench/BenchUtils.h"
 
-#include "analysis/FeatureCache.h"
 #include "analysis/Inst2vec.h"
 #include "analysis/ProGraML.h"
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
+#include "passes/AnalysisManager.h"
 #include "service/Serialization.h"
 #include "util/Timer.h"
 
@@ -83,7 +83,7 @@ int main() {
     const ir::Function *Mid =
         M->functions()[M->functions().size() / 2].get();
 
-    analysis::FeatureCache Cache;
+    passes::AnalysisManager Cache;
     (void)Cache.inst2vec(*M); // Populate once.
     (void)Cache.programl(*M);
 
@@ -109,13 +109,13 @@ int main() {
         Warm["Programl"].push_back(W.elapsedMs());
       }
       {
-        Cache.invalidateFunction(Mid);
+        Cache.invalidate(*Mid, passes::PreservedAnalyses::cfg());
         Stopwatch W;
         (void)Cache.inst2vec(*M);
         Dirty1["Inst2vec"].push_back(W.elapsedMs());
       }
       {
-        Cache.invalidateFunction(Mid);
+        Cache.invalidate(*Mid, passes::PreservedAnalyses::cfg());
         Stopwatch W;
         (void)Cache.programl(*M);
         Dirty1["Programl"].push_back(W.elapsedMs());
@@ -143,7 +143,7 @@ int main() {
       if (Deleted)
         break;
     }
-    Cache.invalidateFunction(MutableMid);
+    Cache.invalidate(*MutableMid, passes::PreservedAnalyses::cfg());
     service::Observation I2vFull = inst2vecObs(Cache.inst2vec(*M));
     service::Observation PgFull = programlObs(Cache.programl(*M));
     for (auto [Base, Full] : {std::pair<const service::Observation *,

@@ -32,7 +32,7 @@ std::vector<float> inst2vec(const ir::Module &M);
 
 /// \p F's rows of the embedding matrix (instructions in block order).
 /// Concatenating per-function segments in module function order is
-/// bit-identical to inst2vec(M) — the decomposition analysis::FeatureCache
+/// bit-identical to inst2vec(M) — the decomposition passes::AnalysisManager
 /// exploits to recompute only dirtied functions.
 std::vector<float> inst2vecFunction(const ir::Function &F);
 

@@ -14,7 +14,7 @@
 /// Two build paths produce the same graph:
 ///  * buildProgramGraph — the whole-module reference builder.
 ///  * per-function GraphFragments assembled by assembleGraphFragments —
-///    the incremental path behind analysis::FeatureCache. A fragment
+///    the incremental path behind passes::AnalysisManager. A fragment
 ///    references everything outside its function symbolically (callees,
 ///    globals, constants by identity), so a one-function edit invalidates
 ///    exactly one fragment and the assembled wire encoding is byte-stable
@@ -85,7 +85,7 @@ bool deserializeGraph(const std::string &Bytes, ProgramGraph &Out);
 // -- Incremental per-function decomposition -----------------------------------
 
 /// One function's contribution to the program graph, cached by
-/// analysis::FeatureCache and stitched back together by
+/// passes::AnalysisManager and stitched back together by
 /// assembleGraphFragments. Everything inside the function (instruction
 /// nodes, control edges, intra-function data edges) is encoded in Bytes
 /// with *local* indices; references that cross the function boundary are
@@ -116,7 +116,7 @@ GraphFragment buildGraphFragment(const ir::Function &F);
 /// v2 wire encoding. deserializeGraph(result) reconstructs a graph
 /// bit-identical to buildProgramGraph(M). Every fragment must be
 /// up-to-date and reference only entities present in \p M — the
-/// FeatureCache guarantees this by rebuilding stale fragments first.
+/// AnalysisManager guarantees this by rebuilding stale fragments first.
 std::string assembleGraphFragments(const ir::Module &M,
                                    const std::vector<const GraphFragment *> &Frags);
 

@@ -304,16 +304,16 @@ Status LlvmSession::computeObservation(const ObservationSpaceInfo &Space,
     Out.Str = Mod->hash().hex();
     return Status::ok();
   case ObsInstCount:
-    // Served from the per-function feature cache: only functions dirtied
+    // Served from the per-function analysis cache: only functions dirtied
     // since the last request are recounted.
-    Out.Ints = PM->analysisManager().features().instCount(*Mod);
+    Out.Ints = PM->analysisManager().instCount(*Mod);
     return Status::ok();
   case ObsAutophase:
-    Out.Ints = PM->analysisManager().features().autophase(*Mod);
+    Out.Ints = PM->analysisManager().autophase(*Mod);
     return Status::ok();
   case ObsInst2vec: {
     // Per-function embedding segments: only dirtied functions re-embed.
-    const std::vector<float> &E = PM->analysisManager().features().inst2vec(*Mod);
+    const std::vector<float> &E = PM->analysisManager().inst2vec(*Mod);
     Out.Doubles.assign(E.begin(), E.end());
     return Status::ok();
   }
@@ -322,7 +322,7 @@ Status LlvmSession::computeObservation(const ObservationSpaceInfo &Space,
     // dirtied functions rebuild their subgraph, and the serialized bytes
     // stay stable outside the changed function's region, which keeps
     // wire deltas small.
-    Out.Str = PM->analysisManager().features().programl(*Mod);
+    Out.Str = PM->analysisManager().programl(*Mod);
     return Status::ok();
   case ObsIrInstructionCount:
     Out.IntValue = analysis::codeSize(*Mod);

@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// LLVM-style analysis caching for the pass pipeline. Passes consume
-/// function-scoped analyses (dominator tree, natural-loop info, observation
-/// feature vectors) through an AnalysisManager instead of recomputing them,
-/// and report a PreservedAnalyses set describing what their transform kept
-/// intact. The manager invalidates exactly what a pass abandoned, so a
-/// step() that runs one pass on one function no longer pays for whole-module
-/// analysis rebuilds — the dominant per-op cost in the paper's Table II.
+/// LLVM-style analysis caching for the pass pipeline and the observation
+/// spaces. One map holds every cached per-function result: the dominator
+/// tree and natural loops that passes consume, and the InstCount and
+/// Autophase vectors, Inst2vec segment and ProGraML fragment that the
+/// module-level observations are assembled from. Passes report a
+/// PreservedAnalyses set describing what their transform kept intact, and
+/// the manager drops exactly what a pass abandoned, so a step() that runs
+/// one pass on one function rebuilds one function's analyses and
+/// re-observes one function — the per-op and per-observation costs of the
+/// paper's Tables II and III.
 ///
 /// Invalidation contract:
 ///  * PreservedAnalyses::all()          — the transform changed nothing any
@@ -28,16 +31,21 @@
 /// In debug builds (or with PassManager::setVerifyPreservation(true)) every
 /// claim is checked after the pass runs: preserved cached analyses are
 /// recomputed from scratch and compared, so a pass that lies about
-/// preservation is caught at the point of the lie.
+/// preservation, or edits a function without reporting it, is caught at
+/// the point of the lie.
 ///
-/// Cache lookups are counted in cg_analysis_lookups_total{kind,outcome}.
+/// Cache lookups are counted in cg_analysis_lookups_total{kind,outcome} and
+/// dropped results in cg_analysis_invalidations_total{kind}; observation
+/// requests, per-function recomputes and aggregate rebuilds in
+/// cg_feature_requests_total, cg_feature_recomputes_total and
+/// cg_feature_aggregations_total.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef COMPILER_GYM_PASSES_ANALYSISMANAGER_H
 #define COMPILER_GYM_PASSES_ANALYSISMANAGER_H
 
-#include "analysis/FeatureCache.h"
+#include "analysis/ProGraML.h"
 #include "ir/Dominators.h"
 #include "ir/Module.h"
 #include "util/CancelToken.h"
@@ -45,6 +53,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -102,13 +112,6 @@ public:
   /// Kinds NOT preserved (the invalidation set).
   unsigned abandoned() const { return AK_All & ~Bits; }
 
-  /// Weakens this set to the intersection with \p O (used to summarize a
-  /// pipeline: only what every pass preserved survives).
-  PreservedAnalyses &intersect(const PreservedAnalyses &O) {
-    Bits &= O.Bits;
-    return *this;
-  }
-
 private:
   explicit PreservedAnalyses(unsigned Bits) : Bits(Bits) {}
   unsigned Bits;
@@ -116,15 +119,18 @@ private:
 
 /// What one pass execution did: whether the module changed, and which
 /// analyses survived if it did. An unchanged run implicitly preserves all.
+///
+/// FunctionPass::run hands each changed function's \c Preserved to
+/// AnalysisManager::invalidate. Everything else reports its edits to the
+/// manager itself, when it makes them, and returns all(): module passes
+/// (inline<N> invalidates each caller, global-dce reports each erasure),
+/// and the loop passes that invalidate at every CFG edit and then refetch
+/// fresh analyses for their final round. The PassManager applies nothing
+/// on a pass's behalf; the preservation verifier catches an edit nobody
+/// reported.
 struct PassResult {
   bool Changed = false;
   PreservedAnalyses Preserved = PreservedAnalyses::all();
-  /// True when the pass (or FunctionPass::run on its behalf) already
-  /// reported invalidation to the AnalysisManager at fine granularity.
-  /// When false, the PassManager applies \c Preserved module-wide — so a
-  /// module pass written without explicit invalidation calls is
-  /// conservatively correct rather than silently stale.
-  bool InvalidationApplied = false;
   /// True when the pass stopped early because the session's cancel token
   /// fired (FunctionPass::run polls between functions). Work already done
   /// is correctly committed/invalidated; the PassManager converts the flag
@@ -134,15 +140,18 @@ struct PassResult {
 
   /// Convenience: \p IfChanged applies only when \p DidChange is true.
   static PassResult make(bool DidChange, PreservedAnalyses IfChanged) {
-    return {DidChange, DidChange ? IfChanged : PreservedAnalyses::all(),
-            false};
+    return {DidChange, DidChange ? IfChanged : PreservedAnalyses::all()};
   }
 };
 
-/// Caches function-scoped analyses across pass executions and routes
-/// invalidation reports to every cached artifact, including the
-/// observation feature vectors. Bound to one module; not thread-safe
-/// (one manager per session, like one module per session).
+/// The one cache of function-scoped analyses and observation artifacts,
+/// bound to one module; not thread-safe (one manager per session, like one
+/// module per session). Every notification — invalidate, functionErased,
+/// cowDetached, adoptFrom — acts on the same per-function entry.
+///
+/// The observation accessors are also self-healing against function-set
+/// changes nobody reported: each rebuild drops entries for functions no
+/// longer in the module and creates empty entries for new ones.
 class AnalysisManager {
 public:
   /// The dominator tree for \p F, computed on first use per invalidation
@@ -152,43 +161,59 @@ public:
   /// Natural loops of \p F (outermost-first), cached like domTree.
   const std::vector<ir::NaturalLoop> &loops(const ir::Function &F);
 
-  /// Incrementally maintained InstCount/Autophase vectors.
-  analysis::FeatureCache &features() { return Features; }
+  // -- Observations ----------------------------------------------------------
+  // Each is assembled from per-function artifacts, recomputing only the
+  // functions invalidated since the last request.
 
+  /// The aggregated 70-D InstCount vector; byte-equal to
+  /// analysis::instCount(M) computed from scratch.
+  const std::vector<int64_t> &instCount(const ir::Module &M);
+
+  /// The aggregated 56-D Autophase vector; byte-equal to
+  /// analysis::autophase(M) computed from scratch.
+  const std::vector<int64_t> &autophase(const ir::Module &M);
+
+  /// The concatenated (#instructions x 200) embedding matrix; bit-equal to
+  /// analysis::inst2vec(M) computed from scratch.
+  const std::vector<float> &inst2vec(const ir::Module &M);
+
+  /// The serialized ProGraML graph (v2 fragment-sectioned encoding);
+  /// deserializeGraph(result) equals buildProgramGraph(M). The returned
+  /// bytes are byte-stable outside regions owned by changed functions,
+  /// which is what makes delta-encoded Programl replies small.
+  const std::string &programl(const ir::Module &M);
+
+  // -- Notifications ---------------------------------------------------------
   /// Reports that a transform ran on \p F and preserved \p PA. Drops the
-  /// abandoned cached analyses for \p F only.
+  /// abandoned cached results for \p F only.
   void invalidate(const ir::Function &F, const PreservedAnalyses &PA);
 
-  /// Reports a module-level transform (e.g. inlining, global DCE): every
-  /// function's abandoned analyses are dropped.
-  void invalidateAll(const PreservedAnalyses &PA);
-
   /// Must be called before a function is erased from the module so no
-  /// cached artifact dangles.
+  /// cached result dangles.
   void functionErased(const ir::Function *F);
 
-  // -- Copy-on-write hooks ---------------------------------------------------
   /// A shared function payload \p Old was replaced by the COW copy \p Copy
-  /// (Module::unshareFunction), which the module keeps. Value-based feature
-  /// artifacts are rekeyed to the structurally identical copy; the CFG
-  /// analyses, whose BasicBlock pointers live in the old payload, are
-  /// dropped and rebuilt on the copy when a pass asks for them.
+  /// (Module::unshareFunction), which the module keeps. The copy is
+  /// structurally identical, so the value-based observation artifacts
+  /// (whose cross-function references are symbolic) move to \p Copy and
+  /// the module-level observations stay valid; the CFG analyses, whose
+  /// BasicBlock pointers live in the old payload, are dropped and rebuilt
+  /// on the copy when a pass asks for them.
   void cowDetached(const ir::Function *Old, const ir::Function *Copy);
 
-  /// Warms this manager from \p O after an environment fork: the feature
-  /// cache is copied wholesale. CFG analyses are not: every payload of the
+  /// Warms this manager from \p O after an environment fork: the
+  /// observation artifacts of every entry and the module-level
+  /// observations are copied. CFG analyses are not: every payload of the
   /// forked module is shared, so the first pass to touch a function copies
   /// it and would drop the parent's trees unread.
   void adoptFrom(const AnalysisManager &O);
 
-  /// True if \p F currently has a cached result of \p Kind (test hook and
-  /// preservation-verifier input).
+  /// True if \p F currently has a cached result of \p Kind (test hook).
   bool isCached(const ir::Function &F, AnalysisKind Kind) const;
 
-  /// Recomputes every *cached* dominator tree, loop set, and feature vector
-  /// from scratch and compares with the cache. Returns Internal status
-  /// naming \p PassName on the first mismatch — the "pass lied about
-  /// preservation" detector.
+  /// Recomputes every *cached* per-function result from scratch and
+  /// compares with the cache. Returns Internal status naming \p PassName
+  /// on the first mismatch — the "pass lied about preservation" detector.
   Status verifyCachedAnalyses(const ir::Module &M,
                               const std::string &PassName);
 
@@ -204,13 +229,54 @@ public:
   bool cancellationRequested() const { return Cancel && Cancel->poll(); }
 
 private:
+  /// Everything cached for one function; an empty pointer or optional is
+  /// a result not computed since the last invalidation.
   struct Entry {
     std::unique_ptr<ir::DominatorTree> DT;
     std::unique_ptr<std::vector<ir::NaturalLoop>> Loops;
+    std::optional<std::vector<int64_t>> InstCount; ///< AK_Features.
+    std::optional<std::vector<int64_t>> Autophase; ///< AK_Features.
+    std::optional<std::vector<float>> Inst2vec;    ///< AK_Layout.
+    std::optional<analysis::GraphFragment> Graph;  ///< AK_Layout.
   };
 
+  /// The module-level observations, assembled from the entries.
+  struct Aggregates {
+    std::vector<int64_t> InstCount;
+    std::vector<int64_t> Autophase;
+    std::vector<float> Inst2vec;
+    /// Layout of Inst2vec at the last aggregation: function order and
+    /// each function's segment start. When an invalidation dirtied some
+    /// functions but the function sequence is unchanged, the aggregate is
+    /// patched in place (copy/splice of the dirty windows) instead of
+    /// re-concatenated — the clean prefix is never touched, which is what
+    /// pushes the one-dirty path well past the whole-module rescan.
+    std::vector<const ir::Function *> Inst2vecOrder;
+    std::vector<size_t> Inst2vecOffsets; ///< Parallel to Inst2vecOrder.
+    std::string Programl;
+    bool InstCountValid = false;
+    bool AutophaseValid = false;
+    bool Inst2vecValid = false;
+    bool ProgramlValid = false;
+  };
+
+  enum class Artifact { InstCount, Autophase, Inst2vec, Programl };
+
+  /// \p F's entry, created empty on first use. A function the aggregates
+  /// did not cover marks them stale, so the next request reconciles.
+  Entry &entry(const ir::Function &F);
+
+  /// Marks the aggregates built from the \p Kinds artifacts stale
+  /// (AK_Features: InstCount/Autophase; AK_Layout: Inst2vec/Programl).
+  void staleAggregates(unsigned Kinds);
+
+  /// Reconciles the entry map with the module's current function set and
+  /// recomputes every missing \p K artifact. Returns true if anything
+  /// changed (=> the aggregate must be rebuilt).
+  bool refresh(const ir::Module &M, Artifact K);
+
   std::unordered_map<const ir::Function *, Entry> Cache;
-  analysis::FeatureCache Features;
+  Aggregates Agg;
   const util::CancelToken *Cancel = nullptr;
 };
 

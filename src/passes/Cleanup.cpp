@@ -7,6 +7,7 @@
 #include "passes/Transforms.h"
 #include "passes/Utils.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 using namespace compiler_gym;
@@ -129,10 +130,8 @@ public:
       (void)UsedGlobals;
     }
     // Surviving functions are untouched; erased ones were reported above,
-    // which also marks the module-level feature aggregates stale.
-    PassResult R = PassResult::make(Changed, PreservedAnalyses::all());
-    R.InvalidationApplied = true; // functionErased() calls above.
-    return R;
+    // which also marks the module-level observations stale.
+    return PassResult::make(Changed, PreservedAnalyses::all());
   }
 };
 
@@ -231,6 +230,8 @@ public:
       return PassResult::make(false, PreservedAnalyses::all());
 
     BasicBlock *Entry = F.entry();
+    std::unordered_map<const Value *, Instruction *> LoadOf;
+    LoadOf.reserve(Phis.size());
     for (Instruction *Phi : Phis) {
       BasicBlock *BB = Phi->parent();
       // Slot in the entry block.
@@ -240,7 +241,8 @@ public:
       Instruction *Slot = Entry->insert(Entry->firstNonPhi(),
                                         std::move(AllocaI));
 
-      // Store each incoming value at the end of its predecessor.
+      // Store each incoming value at the end of its predecessor. A value
+      // that is itself a phi is rewritten to that phi's load below.
       for (unsigned K = 0; K < Phi->numIncoming(); ++K) {
         BasicBlock *Pred = Phi->incomingBlock(K);
         auto St = std::make_unique<Instruction>(
@@ -249,12 +251,26 @@ public:
         Pred->insert(Pred->size() - 1, std::move(St));
       }
 
-      // Load at the start of the phi's block (after remaining phis).
+      // Load at the start of the phi's block, after its phis: each load
+      // goes in front of the loads of the phis demoted before it.
       auto Ld = std::make_unique<Instruction>(
           Opcode::Load, Phi->type(), std::vector<Value *>{Slot});
-      Instruction *Loaded = BB->insert(BB->firstNonPhi(), std::move(Ld));
-      F.replaceAllUsesWith(Phi, Loaded);
-      BB->erase(BB->indexOf(Phi));
+      LoadOf[Phi] = BB->insert(BB->firstNonPhi(), std::move(Ld));
+    }
+    // One sweep replaces every use of a phi with its load, then the phis,
+    // which lead their blocks, go.
+    for (const auto &BB : F.blocks()) {
+      size_t NumPhis = BB->firstNonPhi();
+      for (size_t I = NumPhis; I < BB->size(); ++I) {
+        Instruction *Inst = BB->instructions()[I].get();
+        for (size_t Op = 0; Op < Inst->numOperands(); ++Op) {
+          auto It = LoadOf.find(Inst->operand(Op));
+          if (It != LoadOf.end())
+            Inst->setOperand(Op, It->second);
+        }
+      }
+      while (NumPhis > 0)
+        BB->erase(--NumPhis);
     }
     // Inserts allocas/stores/loads and drops phis without touching the
     // block graph.

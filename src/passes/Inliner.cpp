@@ -61,9 +61,8 @@ public:
       AM.invalidate(*Caller, PreservedAnalyses::none());
       Changed = true;
     }
-    PassResult R = PassResult::make(Changed, PreservedAnalyses::none());
-    R.InvalidationApplied = true; // Per-caller invalidation above.
-    return R;
+    // Each caller was invalidated above.
+    return PassResult::make(Changed, PreservedAnalyses::all());
   }
 
 private:

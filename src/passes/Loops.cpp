@@ -79,10 +79,8 @@ public:
     }
     // invalidate(F, none()) already ran at every CFG edit and the final
     // no-change round refetched fresh analyses: they are valid for the
-    // next pass (licm), so suppress the end-of-run re-invalidation.
-    PassResult R = PassResult::make(Changed, PreservedAnalyses::none());
-    R.InvalidationApplied = true;
-    return R;
+    // next pass (licm), so nothing is left to invalidate.
+    return PassResult::make(Changed, PreservedAnalyses::all());
   }
 
 private:
@@ -256,9 +254,7 @@ public:
     }
     // As in loop-simplify: mid-run invalidation + final-round refetch
     // leave valid cached analyses behind.
-    PassResult R = PassResult::make(Changed, PreservedAnalyses::none());
-    R.InvalidationApplied = true;
-    return R;
+    return PassResult::make(Changed, PreservedAnalyses::all());
   }
 
 private:
@@ -487,9 +483,7 @@ public:
     }
     // As in loop-simplify: mid-run invalidation + final-round refetch
     // leave valid cached analyses behind.
-    PassResult R = PassResult::make(Changed, PreservedAnalyses::none());
-    R.InvalidationApplied = true;
-    return R;
+    return PassResult::make(Changed, PreservedAnalyses::all());
   }
 
 private:

@@ -44,15 +44,9 @@ PassResult FunctionPass::run(ir::Module &M, AnalysisManager &AM) {
     PassResult R = runOnFunction(*F, AM);
     if (R.Changed) {
       M.functionChanged(Idx);
-      // Fixpoint passes that invalidated mid-run (and then refetched fresh
-      // analyses) set InvalidationApplied; re-invalidating here would throw
-      // those just-recomputed trees away for the next pass.
-      if (!R.InvalidationApplied)
-        AM.invalidate(*F, R.Preserved);
+      AM.invalidate(*F, R.Preserved);
       Agg.Changed = true;
-      Agg.Preserved.intersect(R.Preserved);
     }
   }
-  Agg.InvalidationApplied = true; // Done per function above.
   return Agg;
 }

@@ -38,10 +38,11 @@ public:
   /// The registry name (stable, used as the environment action name).
   virtual std::string name() const = 0;
 
-  /// Applies the transform. Implementations must report invalidation to
-  /// \p AM at the finest granularity available — FunctionPass does this per
-  /// changed function; module-scoped passes invalidate module-wide and
-  /// call AM.functionErased() before deleting a function.
+  /// Applies the transform. Implementations report each edit to \p AM
+  /// themselves — FunctionPass does this per changed function; a module
+  /// pass calls AM.invalidate() on each function it changed and
+  /// AM.functionErased() before deleting a function. Nothing else
+  /// invalidates on the pass's behalf.
   virtual PassResult run(ir::Module &M, AnalysisManager &AM) = 0;
 
   /// Passes that intentionally exhibit nondeterminism (for the

@@ -71,11 +71,8 @@ StatusOr<bool> PassManager::run(Pass &P) {
   PassResult R = P.run(M, AM);
   P.Latency->observeUs(Watch.elapsedUs());
   passesRunTotal().inc();
-  // Module-scoped passes that did not report fine-grained invalidation
-  // themselves get their PreservedAnalyses applied module-wide, so a pass
-  // following only the PassResult contract is conservatively correct.
-  if (R.Changed && !R.InvalidationApplied)
-    AM.invalidateAll(R.Preserved);
+  // The pass reported its edits to AM as it made them (FunctionPass::run
+  // per changed function); the verifier catches one it did not report.
   if (VerifyPreservation) {
     CG_RETURN_IF_ERROR(AM.verifyCachedAnalyses(M, P.name()));
     // Snapshots are M.freeze(): a pass that changed a copy without

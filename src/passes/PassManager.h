@@ -8,7 +8,7 @@
 /// A stateful pass manager bound to one module: it owns constructed pass
 /// instances (one per name, reused across step() calls instead of hitting
 /// the registry factory every time) and an AnalysisManager that carries
-/// dominator trees, loop info and observation feature vectors across pass
+/// dominator trees, loop info and observation artifacts across pass
 /// executions — the unit of work behind both the environment's step() (a
 /// single pass) and the preset pipelines (-Oz/-O3 baselines the paper
 /// scales rewards against).
@@ -56,8 +56,8 @@ public:
   StatusOr<bool> runToFixpoint(const std::vector<std::string> &Names,
                                int MaxRounds = 4);
 
-  /// The shared analysis state (also carries the feature cache the LLVM
-  /// session serves InstCount/Autophase observations from).
+  /// The shared analysis state, which also serves the LLVM session's
+  /// InstCount, Autophase, Inst2vec and Programl observations.
   AnalysisManager &analysisManager() { return AM; }
 
   /// Installs (or clears, with null) the in-flight request's cancel token.

@@ -7,13 +7,13 @@
 // corpus of generated programs, running the pass under the AnalysisManager
 // must leave every cached analysis (dominators, loops, feature vectors)
 // byte-equal to a from-scratch recomputation. Plus the preservation-lie
-// detector, pass-instance reuse, the incremental feature cache, the state
-// digest over every state the corpus reaches, and the invariant the
-// service's observation cache relies on: deterministic observations are a
-// function of the session's state key.
+// detector, pass-instance reuse, the one invalidation rule every
+// notification follows, the incremental observations, the state digest
+// over every state the corpus reaches, and the invariant the service's
+// observation cache relies on: deterministic observations are a function
+// of the session's state key.
 
 #include "analysis/Autophase.h"
-#include "analysis/FeatureCache.h"
 #include "analysis/InstCount.h"
 #include "analysis/Inst2vec.h"
 #include "analysis/ProGraML.h"
@@ -35,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <tuple>
 
@@ -98,7 +99,7 @@ TEST(PreservedAnalyses, MaskSemantics) {
   EXPECT_TRUE(L.preserves(AK_DomTree | AK_Loops | AK_Features));
   EXPECT_FALSE(L.preserves(AK_Layout));
   EXPECT_EQ(L.abandoned(), AK_Layout);
-  P.intersect(PreservedAnalyses::none());
+  P.abandon(AK_CFG);
   EXPECT_EQ(P.abandoned(), AK_All);
   PreservedAnalyses Q = PreservedAnalyses::none().preserve(AK_Loops);
   EXPECT_TRUE(Q.preserves(AK_Loops));
@@ -139,37 +140,204 @@ TEST(AnalysisManager, CachesDomTreeAndLoops) {
   EXPECT_EQ(DomCompute.value() - DomCompute0, 2u);
 }
 
-TEST(FeatureCache, MatchesFromScratchAndRecountsOnlyDirty) {
+TEST(AnalysisManager, FeaturesMatchFromScratchAndRecountOnlyDirty) {
   telemetry::Counter &Recomputes = series("cg_feature_recomputes_total");
   const uint64_t Before = Recomputes.value();
   auto M = parse(TwoFunctionModule);
-  analysis::FeatureCache Cache;
-  EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
-  EXPECT_EQ(Cache.autophase(*M), analysis::autophase(*M));
+  AnalysisManager AM;
+  EXPECT_EQ(AM.instCount(*M), analysis::instCount(*M));
+  EXPECT_EQ(AM.autophase(*M), analysis::autophase(*M));
   uint64_t AfterCold = Recomputes.value() - Before;
   EXPECT_EQ(AfterCold, 4u); // 2 functions x 2 feature kinds.
 
   // Unchanged module: pure cache hits.
-  EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
+  EXPECT_EQ(AM.instCount(*M), analysis::instCount(*M));
   EXPECT_EQ(Recomputes.value() - Before, AfterCold);
 
   // Dirty one function: exactly one per-kind recount.
-  Cache.invalidateFunction(M->findFunction("main"));
-  EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
+  AM.invalidate(*M->findFunction("main"), PreservedAnalyses::cfg());
+  EXPECT_EQ(AM.instCount(*M), analysis::instCount(*M));
   EXPECT_EQ(Recomputes.value() - Before, AfterCold + 1);
-  EXPECT_EQ(Cache.autophase(*M), analysis::autophase(*M));
+  EXPECT_EQ(AM.autophase(*M), analysis::autophase(*M));
   EXPECT_EQ(Recomputes.value() - Before, AfterCold + 2);
 }
 
-TEST(FeatureCache, SelfHealsOnFunctionSetChanges) {
+TEST(AnalysisManager, FeaturesSelfHealOnFunctionSetChanges) {
   auto M = parse(TwoFunctionModule);
-  analysis::FeatureCache Cache;
-  (void)Cache.instCount(*M);
+  AnalysisManager AM;
+  (void)AM.instCount(*M);
   Function *Helper = M->findFunction("helper");
-  // Drop the call-free helper without telling the cache.
+  // Drop the call-free helper without telling the manager.
   M->eraseFunction(Helper);
-  EXPECT_EQ(Cache.instCount(*M), analysis::instCount(*M));
-  EXPECT_EQ(Cache.autophase(*M), analysis::autophase(*M));
+  EXPECT_EQ(AM.instCount(*M), analysis::instCount(*M));
+  EXPECT_EQ(AM.autophase(*M), analysis::autophase(*M));
+
+  // Add a function without telling the manager, and look up its dominator
+  // tree: the entry that creates must not hide the new function from the
+  // next observation.
+  Function *Extra = M->createFunction("extra", Type::I64);
+  Extra->createBlock("entry")->append(std::make_unique<Instruction>(
+      Opcode::Ret, Type::Void,
+      std::vector<Value *>{M->getConstInt(Type::I64, 7)}));
+  (void)AM.domTree(*Extra);
+  EXPECT_EQ(AM.instCount(*M), analysis::instCount(*M));
+  EXPECT_EQ(AM.autophase(*M), analysis::autophase(*M));
+}
+
+/// Computes all six per-function results: each function's dominator tree,
+/// loops and four observation artifacts.
+void warmAll(AnalysisManager &AM, const Module &M) {
+  for (const auto &F : M.functions()) {
+    (void)AM.domTree(*F);
+    (void)AM.loops(*F);
+  }
+  (void)AM.instCount(M);
+  (void)AM.autophase(M);
+  (void)AM.inst2vec(M);
+  (void)AM.programl(M);
+}
+
+/// Each module-level answer equals its from-scratch extractor.
+void expectObservationsMatchFromScratch(AnalysisManager &AM,
+                                        const Module &M) {
+  EXPECT_EQ(AM.instCount(M), analysis::instCount(M));
+  EXPECT_EQ(AM.autophase(M), analysis::autophase(M));
+  EXPECT_EQ(AM.inst2vec(M), analysis::inst2vec(M));
+  analysis::ProgramGraph FromCache;
+  ASSERT_TRUE(analysis::deserializeGraph(AM.programl(M), FromCache));
+  EXPECT_TRUE(FromCache == analysis::buildProgramGraph(M));
+}
+
+/// Changes nothing; over shared payloads FunctionPass::run still detaches a
+/// copy of each function before calling it.
+class NoOpPass : public FunctionPass {
+public:
+  std::string name() const override { return "no-op-pass"; }
+
+  PassResult runOnFunction(Function &, AnalysisManager &) override {
+    return PassResult::make(false, PreservedAnalyses::all());
+  }
+};
+
+/// A fresh module under a session-style pass manager, plus what an event
+/// may need to keep alive: a live share and a second manager.
+struct EventState {
+  std::unique_ptr<Module> M = parse(TwoFunctionModule);
+  PassManager PM{*M};
+  std::unique_ptr<Module> Share;
+  AnalysisManager Child;
+};
+
+/// One notification, and which kinds the entry it decides holds after it.
+struct CacheEvent {
+  const char *Name;
+  /// Applies the event to the warm state. Returns the manager and the
+  /// function whose entry the expectations are about.
+  std::function<std::pair<AnalysisManager *, const Function *>(EventState &)>
+      Apply;
+  bool DomTree, Loops, Features, Layout;
+};
+
+TEST(AnalysisManager, OneInvalidationRuleForEveryEvent) {
+  auto invalidateWith = [](PreservedAnalyses PA) {
+    return [PA](EventState &S) {
+      AnalysisManager &AM = S.PM.analysisManager();
+      const Function *F = S.M->findFunction("main");
+      AM.invalidate(*F, PA);
+      return std::pair{&AM, F};
+    };
+  };
+  const CacheEvent Events[] = {
+      {"invalidate none()", invalidateWith(PreservedAnalyses::none()), false,
+       false, false, false},
+      {"invalidate cfg()", invalidateWith(PreservedAnalyses::cfg()), true,
+       true, false, false},
+      {"invalidate allButLayout()",
+       invalidateWith(PreservedAnalyses::allButLayout()), true, true, true,
+       false},
+      {"invalidate all()", invalidateWith(PreservedAnalyses::all()), true,
+       true, true, true},
+      {"functionErased",
+       [](EventState &S) {
+         // The live share keeps the erased payload's address valid.
+         S.Share = S.M->share();
+         AnalysisManager &AM = S.PM.analysisManager();
+         Function *F = S.M->findFunction("helper");
+         AM.functionErased(F);
+         S.M->eraseFunction(F);
+         return std::pair{&AM, static_cast<const Function *>(F)};
+       },
+       false, false, false, false},
+      {"cowDetached",
+       [](EventState &S) {
+         // Every payload is shared, so the pass runs on copies.
+         S.Share = S.M->share();
+         NoOpPass P;
+         auto R = S.PM.run(P);
+         EXPECT_TRUE(R.isOk()) << R.status().toString();
+         AnalysisManager &AM = S.PM.analysisManager();
+         const Function *Old = S.Share->findFunction("main");
+         const Function *Copy = S.M->findFunction("main");
+         EXPECT_NE(Old, Copy);
+         for (AnalysisKind Kind : {AK_DomTree, AK_Loops, AK_Features,
+                                   AK_Layout})
+           EXPECT_FALSE(AM.isCached(*Old, Kind)) << "old payload " << Kind;
+         return std::pair{&AM, Copy};
+       },
+       false, false, true, true},
+      {"adoptFrom",
+       [](EventState &S) {
+         S.Child.adoptFrom(S.PM.analysisManager());
+         return std::pair{&S.Child,
+                          static_cast<const Function *>(
+                              S.M->findFunction("main"))};
+       },
+       false, false, true, true},
+  };
+  for (const CacheEvent &Event : Events) {
+    SCOPED_TRACE(Event.Name);
+    EventState S;
+    warmAll(S.PM.analysisManager(), *S.M);
+    auto [AM, F] = Event.Apply(S);
+    EXPECT_EQ(AM->isCached(*F, AK_DomTree), Event.DomTree);
+    EXPECT_EQ(AM->isCached(*F, AK_Loops), Event.Loops);
+    EXPECT_EQ(AM->isCached(*F, AK_Features), Event.Features);
+    EXPECT_EQ(AM->isCached(*F, AK_Layout), Event.Layout);
+    expectObservationsMatchFromScratch(*AM, *S.M);
+  }
+}
+
+TEST(AnalysisManager, CountsEachDroppedResult) {
+  auto invalidations = [](const char *Kind) -> telemetry::Counter & {
+    return series("cg_analysis_invalidations_total", {{"kind", Kind}});
+  };
+  const char *Kinds[] = {"domtree", "loops", "features", "layout"};
+  auto snapshot = [&] {
+    std::map<std::string, uint64_t> Values;
+    for (const char *Kind : Kinds)
+      Values[Kind] = invalidations(Kind).value();
+    return Values;
+  };
+  auto M = parse(TwoFunctionModule);
+  AnalysisManager AM;
+  warmAll(AM, *M);
+  const Function *Main = M->findFunction("main");
+  auto Before = snapshot();
+  // Two vectors (InstCount, Autophase) and two layout artifacts (Inst2vec
+  // segment, ProGraML fragment) per function.
+  AM.invalidate(*Main, PreservedAnalyses::cfg());
+  auto AfterCfg = snapshot();
+  EXPECT_EQ(AfterCfg["domtree"] - Before["domtree"], 0u);
+  EXPECT_EQ(AfterCfg["loops"] - Before["loops"], 0u);
+  EXPECT_EQ(AfterCfg["features"] - Before["features"], 2u);
+  EXPECT_EQ(AfterCfg["layout"] - Before["layout"], 2u);
+  // Only results still cached count.
+  AM.invalidate(*Main, PreservedAnalyses::none());
+  auto AfterNone = snapshot();
+  EXPECT_EQ(AfterNone["domtree"] - AfterCfg["domtree"], 1u);
+  EXPECT_EQ(AfterNone["loops"] - AfterCfg["loops"], 1u);
+  EXPECT_EQ(AfterNone["features"] - AfterCfg["features"], 0u);
+  EXPECT_EQ(AfterNone["layout"] - AfterCfg["layout"], 0u);
 }
 
 TEST(PassManager, ReusesPassInstancesAcrossRunsAndRounds) {
@@ -292,8 +460,8 @@ TEST(PassManager, CatchesFeaturePreservationLie) {
   auto M = parse(TwoFunctionModule);
   PassManager PM(*M);
   PM.setVerifyPreservation(true);
-  // Warm the feature cache so the checker has something to compare.
-  (void)PM.analysisManager().features().instCount(*M);
+  // Warm the features so the checker has something to compare.
+  (void)PM.analysisManager().instCount(*M);
   LyingPass Liar;
   auto R = PM.run(Liar);
   ASSERT_FALSE(R.isOk());
@@ -374,41 +542,33 @@ exit:
   EXPECT_NE(R.status().toString().find("loop info"), std::string::npos);
 }
 
-TEST(PassManager, ModulePassWithoutExplicitInvalidationIsConservative) {
-  // A module-scoped pass that only returns a PassResult (no AM calls)
-  // must still invalidate: the manager applies its PreservedAnalyses
-  // module-wide when InvalidationApplied is unset.
-  class NaiveModulePass : public Pass {
-  public:
-    std::string name() const override { return "naive-module-pass"; }
-    PassResult run(Module &M, AnalysisManager &) override {
-      // Delete the first deletable instruction anywhere in the module.
-      for (const auto &F : M.functions()) {
-        for (const auto &BB : F->blocks()) {
-          for (size_t I = 0; I < BB->size(); ++I) {
-            Instruction *Inst = BB->instructions()[I].get();
-            if (Inst->isTerminator() || F->hasUses(Inst) ||
-                Inst->hasSideEffects())
-              continue;
-            BB->erase(I);
-            return PassResult::make(true, PreservedAnalyses::cfg());
-          }
-        }
-      }
-      return PassResult::make(false, PreservedAnalyses::all());
-    }
-  };
+/// A module pass that edits a function and reports nothing to the
+/// AnalysisManager: it only returns an honest PassResult.
+class NaiveModulePass : public Pass {
+public:
+  std::string name() const override { return "naive-module-pass"; }
+  PassResult run(Module &M, AnalysisManager &) override {
+    // Delete the first deletable instruction anywhere in the module.
+    for (const auto &F : M.functions())
+      if (eraseUnusedPureInstruction(*F))
+        return PassResult::make(true, PreservedAnalyses::cfg());
+    return PassResult::make(false, PreservedAnalyses::all());
+  }
+};
 
+TEST(PassManager, CatchesModulePassThatSkipsInvalidation) {
+  // Nothing invalidates on a pass's behalf: the unreported edit leaves
+  // the warm InstCount vector stale, and the verifier names the pass.
   auto M = parse(TwoFunctionModule);
   PassManager PM(*M);
   PM.setVerifyPreservation(true);
-  (void)PM.analysisManager().features().instCount(*M);
+  (void)PM.analysisManager().instCount(*M);
   NaiveModulePass P;
-  auto R = PM.run(P); // Honest PA, no explicit invalidation: must be OK.
-  ASSERT_TRUE(R.isOk()) << R.status().toString();
-  ASSERT_TRUE(*R);
-  EXPECT_EQ(PM.analysisManager().features().instCount(*M),
-            analysis::instCount(*M));
+  auto R = PM.run(P);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.status().code(), StatusCode::Internal);
+  EXPECT_NE(R.status().toString().find("naive-module-pass"),
+            std::string::npos);
 }
 
 TEST(PassManager, HonestPassSurvivesVerification) {
@@ -419,7 +579,7 @@ TEST(PassManager, HonestPassSurvivesVerification) {
     (void)PM.analysisManager().domTree(*F);
     (void)PM.analysisManager().loops(*F);
   }
-  (void)PM.analysisManager().features().instCount(*M);
+  (void)PM.analysisManager().instCount(*M);
   ASSERT_TRUE(PM.runPipeline({"mem2reg", "instcombine", "simplifycfg",
                               "gvn", "sccp", "adce"})
                   .isOk());
@@ -457,10 +617,10 @@ TEST_P(DifferentialInvalidation, CachedAnalysesEqualFromScratch) {
       (void)AM.domTree(*F);
       (void)AM.loops(*F);
     }
-    (void)AM.features().instCount(*M);
-    (void)AM.features().autophase(*M);
-    (void)AM.features().inst2vec(*M);
-    (void)AM.features().programl(*M);
+    (void)AM.instCount(*M);
+    (void)AM.autophase(*M);
+    (void)AM.inst2vec(*M);
+    (void)AM.programl(*M);
 
     auto Changed = PM.run(Name);
     ASSERT_TRUE(Changed.isOk())
@@ -469,15 +629,14 @@ TEST_P(DifferentialInvalidation, CachedAnalysesEqualFromScratch) {
 
     // Incrementally-maintained observations must be byte-equal to a
     // from-scratch recomputation of the mutated module.
-    EXPECT_EQ(AM.features().instCount(*M), analysis::instCount(*M))
+    EXPECT_EQ(AM.instCount(*M), analysis::instCount(*M))
         << "InstCount diverged after " << Name;
-    EXPECT_EQ(AM.features().autophase(*M), analysis::autophase(*M))
+    EXPECT_EQ(AM.autophase(*M), analysis::autophase(*M))
         << "Autophase diverged after " << Name;
-    EXPECT_EQ(AM.features().inst2vec(*M), analysis::inst2vec(*M))
+    EXPECT_EQ(AM.inst2vec(*M), analysis::inst2vec(*M))
         << "Inst2vec diverged after " << Name;
     analysis::ProgramGraph FromCache;
-    ASSERT_TRUE(analysis::deserializeGraph(AM.features().programl(*M),
-                                           FromCache))
+    ASSERT_TRUE(analysis::deserializeGraph(AM.programl(*M), FromCache))
         << "Programl bytes undecodable after " << Name;
     EXPECT_TRUE(FromCache == analysis::buildProgramGraph(*M))
         << "Programl diverged after " << Name;

@@ -23,8 +23,8 @@ using namespace compiler_gym::ir;
 
 namespace {
 
-/// Per-function feature recomputes across every cache in the process;
-/// tests diff it across a window that runs one cache.
+/// Per-function feature recomputes across every manager in the process;
+/// tests diff it across a window that runs one manager.
 telemetry::Counter &recomputes() {
   return telemetry::MetricsRegistry::global().counter(
       "cg_feature_recomputes_total");
@@ -313,7 +313,7 @@ bool mutateOneFunction(Module &M, Function &F) {
 
 } // namespace
 
-TEST(FeatureCacheIncremental, Inst2vecMatchesAndRecomputesOnlyDirty) {
+TEST(IncrementalObservations, Inst2vecMatchesAndRecomputesOnlyDirty) {
   datasets::ProgramStyle Style =
       datasets::styleForDataset("benchmark://csmith-v0");
   Style.MinFunctions = 6;
@@ -323,7 +323,7 @@ TEST(FeatureCacheIncremental, Inst2vecMatchesAndRecomputesOnlyDirty) {
   ASSERT_GE(M->functions().size(), 2u);
 
   const uint64_t Before = recomputes().value();
-  FeatureCache Cache;
+  passes::AnalysisManager Cache;
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
   uint64_t AfterCold = recomputes().value() - Before;
   EXPECT_EQ(AfterCold, M->functions().size());
@@ -336,7 +336,7 @@ TEST(FeatureCacheIncremental, Inst2vecMatchesAndRecomputesOnlyDirty) {
   // result (the aggregate is spliced in place, not re-concatenated).
   Function *Dirty = M->functions().front().get();
   ASSERT_TRUE(mutateOneFunction(*M, *Dirty));
-  Cache.invalidateFunction(Dirty);
+  Cache.invalidate(*Dirty, passes::PreservedAnalyses::cfg());
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
   EXPECT_EQ(recomputes().value() - Before, AfterCold + 1);
 
@@ -344,18 +344,18 @@ TEST(FeatureCacheIncremental, Inst2vecMatchesAndRecomputesOnlyDirty) {
   // window ends at the already-shifted vector end).
   Function *Last = M->functions().back().get();
   ASSERT_TRUE(mutateOneFunction(*M, *Last));
-  Cache.invalidateFunction(Last);
+  Cache.invalidate(*Last, passes::PreservedAnalyses::cfg());
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
 
   // And two dirty functions at once, with length changes.
   ASSERT_TRUE(mutateOneFunction(*M, *Dirty));
   ASSERT_TRUE(mutateOneFunction(*M, *Last));
-  Cache.invalidateFunction(Dirty);
-  Cache.invalidateFunction(Last);
+  Cache.invalidate(*Dirty, passes::PreservedAnalyses::cfg());
+  Cache.invalidate(*Last, passes::PreservedAnalyses::cfg());
   EXPECT_EQ(Cache.inst2vec(*M), inst2vec(*M));
 }
 
-TEST(FeatureCacheIncremental, ProgramlMatchesAndRecomputesOnlyDirty) {
+TEST(IncrementalObservations, ProgramlMatchesAndRecomputesOnlyDirty) {
   datasets::ProgramStyle Style =
       datasets::styleForDataset("benchmark://npb-v0");
   Style.MinFunctions = 6;
@@ -365,7 +365,7 @@ TEST(FeatureCacheIncremental, ProgramlMatchesAndRecomputesOnlyDirty) {
   ASSERT_GE(M->functions().size(), 2u);
 
   const uint64_t Before = recomputes().value();
-  FeatureCache Cache;
+  passes::AnalysisManager Cache;
   auto expectMatchesReference = [&] {
     ProgramGraph FromCache;
     ASSERT_TRUE(deserializeGraph(Cache.programl(*M), FromCache));
@@ -380,7 +380,7 @@ TEST(FeatureCacheIncremental, ProgramlMatchesAndRecomputesOnlyDirty) {
 
   Function *Dirty = M->functions().back().get();
   ASSERT_TRUE(mutateOneFunction(*M, *Dirty));
-  Cache.invalidateFunction(Dirty);
+  Cache.invalidate(*Dirty, passes::PreservedAnalyses::cfg());
   expectMatchesReference();
   EXPECT_EQ(recomputes().value() - Before, AfterCold + 1);
 
@@ -391,14 +391,13 @@ TEST(FeatureCacheIncremental, ProgramlMatchesAndRecomputesOnlyDirty) {
   for (const auto &F : M->functions()) {
     if (F.get() == Dirty)
       continue;
-    const GraphFragment *Frag = Cache.cachedGraphFragment(F.get());
-    ASSERT_NE(Frag, nullptr);
-    EXPECT_NE(After.find(Frag->Bytes), std::string::npos)
+    ASSERT_TRUE(Cache.isCached(*F, passes::AK_Layout));
+    EXPECT_NE(After.find(buildGraphFragment(*F).Bytes), std::string::npos)
         << "clean fragment of '" << F->name() << "' was rewritten";
   }
 }
 
-TEST(FeatureCacheIncremental, ProgramlSelfHealsOnErasedFunction) {
+TEST(IncrementalObservations, ProgramlSelfHealsOnErasedFunction) {
   auto M = parseModule(R"(module "t"
 func @callee(i64 %x) -> i64 {
 entry:
@@ -412,10 +411,10 @@ entry:
 }
 )");
   ASSERT_TRUE(M.isOk());
-  FeatureCache Cache;
+  passes::AnalysisManager Cache;
   (void)Cache.programl(**M);
-  // Erase the (uncalled) callee without notifying the cache: aggregation
-  // must reconcile and still match the reference builder.
+  // Erase the (uncalled) callee without notifying the manager:
+  // aggregation must reconcile and still match the reference builder.
   (*M)->eraseFunction((*M)->findFunction("callee"));
   ProgramGraph FromCache;
   ASSERT_TRUE(deserializeGraph(Cache.programl(**M), FromCache));

@@ -635,6 +635,51 @@ TEST(Passes, Reg2MemLowerSelectGrowCode) {
   }
 }
 
+TEST(Passes, Reg2MemKeepsSwapLoopSemantics) {
+  // The header phis swap each other every iteration, so each store into
+  // a slot must read the other phi's load from the top of the block, and
+  // %a and %b end up swapped once per iteration.
+  auto M = parse(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  br label %loop
+loop:
+  %a = phi i64 [ 1, %entry ], [ %b, %loop ]
+  %b = phi i64 [ 2, %entry ], [ %a, %loop ]
+  %i = phi i64 [ 0, %entry ], [ %inext, %loop ]
+  %inext = add i64 i64 %i, i64 1
+  %c = icmp i1 lt i64 %inext, i64 %n
+  condbr i1 %c, label %loop, label %exit
+exit:
+  %tens = mul i64 i64 %a, i64 10
+  %r = add i64 i64 %tens, i64 %b
+  ret i64 %r
+}
+)");
+  auto results = [&] {
+    std::vector<int64_t> Out;
+    for (int64_t N : {1, 2, 5}) {
+      ir::InterpreterOptions IOpts;
+      IOpts.Args = {N};
+      auto R = interpret(*M, IOpts);
+      EXPECT_TRUE(R.isOk() && R->Completed) << "n=" << N;
+      Out.push_back(R.isOk() ? R->ReturnInt : -1);
+    }
+    return Out;
+  };
+  const std::vector<int64_t> Before = results();
+  EXPECT_EQ(Before, (std::vector<int64_t>{12, 21, 12}));
+  EXPECT_TRUE(run(*M, "reg2mem"));
+  size_t Phis = 0;
+  M->findFunction("main")->forEachInstruction(
+      [&](BasicBlock &, Instruction &I) { Phis += I.opcode() == Opcode::Phi; });
+  EXPECT_EQ(Phis, 0u);
+  EXPECT_EQ(results(), Before) << "after reg2mem:\n" << printModule(*M);
+  EXPECT_TRUE(run(*M, "mem2reg"));
+  EXPECT_EQ(results(), Before) << "after reg2mem, mem2reg:\n"
+                               << printModule(*M);
+}
+
 TEST(Passes, GvnSinkIsNondeterministicAcrossClones) {
   // The reproduction of the paper's -gvn-sink bug: running the pass on two
   // structurally identical clones may produce different output because it
