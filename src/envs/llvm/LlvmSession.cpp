@@ -18,9 +18,9 @@
 #include "passes/Pipelines.h"
 #include "telemetry/MetricsRegistry.h"
 #include "util/Hash.h"
+#include "util/LruCache.h"
 
 #include <iterator>
-#include <list>
 #include <mutex>
 #include <unordered_map>
 
@@ -43,53 +43,38 @@ public:
   std::unique_ptr<ir::Module> parse(const datasets::Benchmark &Bench,
                                     Status &Err) {
     uint64_t Key = hashCombine(fnv1a(Bench.Uri), fnv1a(Bench.IrText));
+    std::shared_ptr<const ir::Module> Master;
     {
       std::lock_guard<std::mutex> Lock(Mutex);
-      auto It = Map.find(Key);
-      if (It != Map.end()) {
-        Lru.splice(Lru.begin(), Lru, It->second.LruIt);
-        // Structural sharing: the session's module aliases the cached
-        // master's function payloads; the pass layer copies a function
-        // on first write. Init cost drops from O(|module|) to
-        // O(#functions).
-        return It->second.Mod->share();
+      Master = Cache.get(Key);
+    }
+    if (!Master) {
+      StatusOr<std::unique_ptr<ir::Module>> Parsed =
+          ir::parseModule(Bench.IrText);
+      if (!Parsed.isOk()) {
+        Err = Parsed.status();
+        return nullptr;
       }
-    }
-    StatusOr<std::unique_ptr<ir::Module>> Parsed =
-        ir::parseModule(Bench.IrText);
-    if (!Parsed.isOk()) {
-      Err = Parsed.status();
-      return nullptr;
-    }
-    std::unique_ptr<ir::Module> Mod = Parsed.takeValue();
-    std::unique_ptr<ir::Module> Shared = Mod->share();
-    {
+      // Two sessions that miss at once both parse; the first insert wins
+      // and both share its module.
       std::lock_guard<std::mutex> Lock(Mutex);
-      Lru.push_front(Key);
-      Map[Key] = Entry{std::move(Mod), Lru.begin()};
-      while (Map.size() > Capacity) {
-        Map.erase(Lru.back());
-        Lru.pop_back();
-      }
+      Master = Cache.insert(Key, Parsed.takeValue()).Value;
     }
-    return Shared;
+    // Structural sharing: the session's module aliases the cached master's
+    // function payloads; the pass layer copies a function on first write.
+    // Init cost drops from O(|module|) to O(#functions).
+    return Master->share();
   }
 
   void clear() {
     std::lock_guard<std::mutex> Lock(Mutex);
-    Map.clear();
-    Lru.clear();
+    Cache.clear();
   }
 
 private:
-  struct Entry {
-    std::unique_ptr<ir::Module> Mod;
-    std::list<uint64_t>::iterator LruIt;
-  };
   static constexpr size_t Capacity = 64;
   std::mutex Mutex;
-  std::unordered_map<uint64_t, Entry> Map;
-  std::list<uint64_t> Lru;
+  util::LruCache<ir::Module> Cache{Capacity};
 };
 
 /// Observation-space ids: dense indices into the dispatch table.
@@ -374,14 +359,19 @@ uint64_t LlvmSession::stateKey() {
     // freeze(), O(#functions), which leaves the session its unchanged
     // copies. This is what a recovering environment restores instead of
     // replaying its actions.
-    ir::SnapshotStore::global().put(*CachedStateKey, Mod->freeze(),
-                                    Bench.Uri);
+    ir::SnapshotStore::global().put(*CachedStateKey, Mod->freeze());
   }
   LastExposedKey = *CachedStateKey;
   return *CachedStateKey;
 }
 
 bool LlvmSession::restore(uint64_t StateKey) {
+  static telemetry::Histogram &RestoreLatency =
+      telemetry::MetricsRegistry::global().histogram(
+          "cg_snapshot_restore_us", {},
+          "Snapshot restore latency (store lookup, share and pass-manager "
+          "rebind)");
+  telemetry::ScopedTimerUs Timer(RestoreLatency);
   if (!StateKey)
     return false;
   // Chaos hook: error/crash rules simulate a lost or unreadable snapshot,
@@ -389,10 +379,11 @@ bool LlvmSession::restore(uint64_t StateKey) {
   if (fault::FaultAction F = CG_FAULT_POINT("snapshot.restore", cancelToken()))
     if (F.isError() || F.isCrash() || F.isCorrupt())
       return false;
-  std::optional<ir::Snapshot> Snap = ir::SnapshotStore::global().get(StateKey);
+  std::shared_ptr<const ir::Module> Snap =
+      ir::SnapshotStore::global().get(StateKey);
   if (!Snap)
     return false;
-  Mod = Snap->Mod->share();
+  Mod = Snap->share();
   rebindModule();
   // The restored module is bit-identical to the state the key addresses;
   // skip re-walking it to recover the digest.

@@ -60,78 +60,33 @@ SnapshotStore &SnapshotStore::global() {
   return *S;
 }
 
-void SnapshotStore::put(uint64_t Key, std::shared_ptr<const Module> Mod,
-                        std::string BenchmarkUri) {
+void SnapshotStore::put(uint64_t Key, std::shared_ptr<const Module> Mod) {
   if (!Mod)
     return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Map.find(Key);
-  if (It != Map.end()) {
-    Lru.erase(It->second.LruIt);
-    It->second.LruIt = Lru.insert(Lru.begin(), Key);
-    return;
-  }
   size_t Bytes = approxModuleBytes(*Mod);
-  Entry E;
-  E.Snap = {std::move(Mod), std::move(BenchmarkUri)};
-  E.Bytes = Bytes;
-  E.LruIt = Lru.insert(Lru.begin(), Key);
-  Map.emplace(Key, std::move(E));
-  TotalBytes += Bytes;
-  evictLocked();
-  storeEntries().set(static_cast<int64_t>(Map.size()));
-  storeBytes().set(static_cast<int64_t>(TotalBytes));
-}
-
-std::optional<Snapshot> SnapshotStore::get(uint64_t Key) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Map.find(Key);
-  if (It == Map.end()) {
-    storeLookups(false).inc();
-    return std::nullopt;
-  }
-  Lru.erase(It->second.LruIt);
-  It->second.LruIt = Lru.insert(Lru.begin(), Key);
-  storeLookups(true).inc();
-  return It->second.Snap;
+  size_t Evicted = Cache.insert(Key, std::move(Mod), Bytes).Evicted;
+  if (Evicted)
+    storeEvictions().inc(Evicted);
+  storeEntries().set(static_cast<int64_t>(Cache.size()));
+  storeBytes().set(static_cast<int64_t>(Cache.bytes()));
 }
 
-void SnapshotStore::evictLocked() {
-  while (Map.size() > MaxEntries ||
-         (TotalBytes > MaxBytes && Map.size() > 1)) {
-    uint64_t Victim = Lru.back();
-    auto It = Map.find(Victim);
-    TotalBytes -= It->second.Bytes;
-    Lru.pop_back();
-    Map.erase(It);
-    storeEvictions().inc();
-  }
+std::shared_ptr<const Module> SnapshotStore::get(uint64_t Key) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  std::shared_ptr<const Module> Mod = Cache.get(Key);
+  storeLookups(Mod != nullptr).inc();
+  return Mod;
 }
 
 void SnapshotStore::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Map.clear();
-  Lru.clear();
-  TotalBytes = 0;
+  Cache.clear();
   storeEntries().set(0);
   storeBytes().set(0);
 }
 
-void SnapshotStore::setCapacity(size_t Entries, size_t Bytes) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  MaxEntries = Entries;
-  MaxBytes = Bytes;
-  evictLocked();
-  storeEntries().set(static_cast<int64_t>(Map.size()));
-  storeBytes().set(static_cast<int64_t>(TotalBytes));
-}
-
 size_t SnapshotStore::entries() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Map.size();
-}
-
-size_t SnapshotStore::approxBytes() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return TotalBytes;
+  return Cache.size();
 }

@@ -19,9 +19,9 @@
 /// replaying the episode's action history, and falls back to replay only
 /// when the snapshot was evicted.
 ///
-/// The store is bounded (entry count and approximate bytes, LRU eviction)
-/// and thread-safe: sessions on different service shards publish and
-/// restore concurrently.
+/// The store is one util::LruCache of 256 entries and 64 MiB of
+/// approximate module bytes behind one mutex: sessions on different
+/// service shards publish and restore concurrently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,31 +29,21 @@
 #define COMPILER_GYM_IR_SNAPSHOT_H
 
 #include "ir/Module.h"
+#include "util/LruCache.h"
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <string>
-#include <unordered_map>
 
 namespace compiler_gym {
 namespace ir {
 
-/// One restorable state: the frozen module plus the benchmark it belongs
-/// to (restore re-derives reward baselines from the benchmark source).
-struct Snapshot {
-  std::shared_ptr<const Module> Mod;
-  std::string BenchmarkUri;
-};
-
-/// Bounded LRU map: state key -> snapshot.
+/// Bounded LRU map: state key -> frozen module.
 class SnapshotStore {
 public:
   SnapshotStore(size_t MaxEntries = 256,
                 size_t MaxBytes = 64ull * 1024 * 1024)
-      : MaxEntries(MaxEntries), MaxBytes(MaxBytes) {}
+      : Cache(MaxEntries, MaxBytes) {}
 
   /// The process-wide store. Living outside any service instance is the
   /// point: an in-process service "crash" (CompilerService::restart())
@@ -64,36 +54,22 @@ public:
   /// Publishes \p Mod under \p Key. The module must no longer be mutated
   /// through the stored handle (callers pass a fresh freeze()). Re-publishing
   /// an existing key refreshes its LRU position only.
-  void put(uint64_t Key, std::shared_ptr<const Module> Mod,
-           std::string BenchmarkUri);
+  void put(uint64_t Key, std::shared_ptr<const Module> Mod);
 
-  /// Looks up \p Key, refreshing its LRU position. Counts a hit or miss.
-  std::optional<Snapshot> get(uint64_t Key);
+  /// The frozen module under \p Key, refreshing its LRU position; null on a
+  /// miss. Counts a hit or miss.
+  std::shared_ptr<const Module> get(uint64_t Key);
 
   /// Test hooks.
   void clear();
-  void setCapacity(size_t Entries, size_t Bytes);
   size_t entries() const;
-  size_t approxBytes() const;
 
   SnapshotStore(const SnapshotStore &) = delete;
   SnapshotStore &operator=(const SnapshotStore &) = delete;
 
 private:
-  struct Entry {
-    Snapshot Snap;
-    size_t Bytes = 0;
-    std::list<uint64_t>::iterator LruIt;
-  };
-
-  void evictLocked();
-
   mutable std::mutex Mutex;
-  size_t MaxEntries;
-  size_t MaxBytes;
-  size_t TotalBytes = 0;
-  std::list<uint64_t> Lru; ///< Front = most recently used.
-  std::unordered_map<uint64_t, Entry> Map;
+  util::LruCache<Module> Cache;
 };
 
 } // namespace ir

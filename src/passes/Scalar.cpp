@@ -416,6 +416,11 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     std::optional<PredecessorTable> Preds; // Sinking moves no edge.
+    // Each value's users, built at the first candidate. Sinking only moves
+    // instructions, so the lists stay valid, and a user's parent() is the
+    // block it sits in now.
+    std::optional<std::unordered_map<const Value *,
+                                     std::vector<Instruction *>>> Users;
     bool Changed = false;
     // Map each instruction to its unique using block (if any).
     for (const auto &BB : F.blocks()) {
@@ -425,26 +430,30 @@ public:
         Instruction *Inst = BB->instructions()[I].get();
         if (!Inst->isPure())
           continue;
+        if (!Users) {
+          Users.emplace();
+          F.forEachInstruction([&](BasicBlock &, Instruction &User) {
+            for (const Value *Op : User.operands())
+              (*Users)[Op].push_back(&User);
+          });
+        }
+        auto It = Users->find(Inst);
+        if (It == Users->end())
+          continue;
         BasicBlock *UserBlock = nullptr;
         bool Sinkable = true;
-        F.forEachInstruction([&](BasicBlock &UB, Instruction &User) {
-          if (!Sinkable)
-            return;
-          for (size_t Op = 0; Op < User.numOperands(); ++Op) {
-            if (User.operand(Op) != Inst)
-              continue;
-            if (User.opcode() == Opcode::Phi) {
-              Sinkable = false; // Phi uses live on edges; do not sink.
-              return;
-            }
-            if (!UserBlock)
-              UserBlock = &UB;
-            else if (UserBlock != &UB) {
-              Sinkable = false;
-              return;
-            }
+        for (Instruction *User : It->second) {
+          if (User->opcode() == Opcode::Phi) {
+            Sinkable = false; // Phi uses live on edges; do not sink.
+            break;
           }
-        });
+          if (!UserBlock)
+            UserBlock = User->parent();
+          else if (UserBlock != User->parent()) {
+            Sinkable = false;
+            break;
+          }
+        }
         if (!Sinkable || !UserBlock || UserBlock == BB.get())
           continue;
         // Destination must be an immediate successor with a single pred so

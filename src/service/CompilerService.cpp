@@ -120,7 +120,6 @@ void CompilerService::restart() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Sessions.clear();
   ServedReplies.clear();
-  ServedOrder.clear();
   Crashed.store(false, std::memory_order_relaxed);
   AbortRequested.store(false, std::memory_order_relaxed);
   OpsHandled.store(0, std::memory_order_relaxed);
@@ -179,10 +178,10 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
   // rejection is always correct, and it keeps a partially-applied batch
   // from being applied twice.
   if (Req.RequestId) {
-    auto Served = ServedReplies.find(Req.RequestId);
-    if (Served != ServedReplies.end()) {
+    if (std::shared_ptr<const std::string> Served =
+            ServedReplies.get(Req.RequestId)) {
       dedupReplaysTotal().inc();
-      return Served->second;
+      return *Served;
     }
   }
   OpsHandled.fetch_add(1, std::memory_order_relaxed);
@@ -231,14 +230,9 @@ std::string CompilerService::handleLocked(const RequestEnvelope &Req,
   // (gateway snapshot restore re-issues the op under its original id).
   bool SessionLoss = Reply.Code == StatusCode::NotFound &&
                      Reply.ErrorMessage.rfind("no session", 0) == 0;
-  if (Req.RequestId && !SessionLoss) {
-    ServedReplies.emplace(Req.RequestId, ReplyBytes);
-    ServedOrder.push_back(Req.RequestId);
-    if (ServedOrder.size() > DedupWindow) {
-      ServedReplies.erase(ServedOrder.front());
-      ServedOrder.pop_front();
-    }
-  }
+  if (Req.RequestId && !SessionLoss)
+    ServedReplies.insert(Req.RequestId,
+                         std::make_shared<const std::string>(ReplyBytes));
   return ReplyBytes;
 }
 

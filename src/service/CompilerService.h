@@ -20,13 +20,12 @@
 #include "service/CompilationSession.h"
 #include "service/ObservationCache.h"
 #include "service/Serialization.h"
+#include "util/LruCache.h"
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 namespace compiler_gym {
 namespace service {
@@ -102,10 +101,11 @@ private:
   /// carrying a RequestId we already served replays the stored reply
   /// instead of re-executing — a timed-out request is not removed from the
   /// transport queue, so without this the original and the retry would
-  /// both apply their actions. Bounded FIFO window.
+  /// both apply their actions. An LRU of DedupWindow replies: a replay
+  /// promotes its entry, which changes nothing, since only retries of one
+  /// call reuse a RequestId.
   static constexpr size_t DedupWindow = 512;
-  std::unordered_map<uint64_t, std::string> ServedReplies;
-  std::deque<uint64_t> ServedOrder;
+  util::LruCache<std::string> ServedReplies{DedupWindow};
 };
 
 } // namespace service

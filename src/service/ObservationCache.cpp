@@ -43,16 +43,13 @@ uint64_t ObservationCache::entryKey(uint64_t StateKey,
 std::shared_ptr<const Observation>
 ObservationCache::lookup(uint64_t StateKey, const std::string &SpaceName) {
   uint64_t Key = entryKey(StateKey, SpaceName);
-  Stripe &S = stripeFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Map.find(Key);
-  if (It == S.Map.end()) {
-    cacheEvent("miss").inc();
-    return nullptr;
+  std::shared_ptr<const Observation> Obs;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Obs = Cache.get(Key);
   }
-  S.Lru.splice(S.Lru.begin(), S.Lru, It->second); // Promote to MRU.
-  cacheEvent("hit").inc();
-  return It->second->Obs;
+  cacheEvent(Obs ? "hit" : "miss").inc();
+  return Obs;
 }
 
 std::shared_ptr<const Observation>
@@ -61,50 +58,27 @@ ObservationCache::insert(uint64_t StateKey, const std::string &SpaceName,
   uint64_t Key = entryKey(StateKey, SpaceName);
   size_t Bytes = observationWireSize(Obs);
   auto Stored = std::make_shared<const Observation>(std::move(Obs));
-  Stripe &S = stripeFor(Key);
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Map.find(Key);
-  if (It != S.Map.end()) {
-    // Another worker computed it concurrently; refresh recency only.
-    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    return It->second->Obs;
+  util::LruCache<Observation>::InsertResult R;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    R = Cache.insert(Key, std::move(Stored), Bytes);
   }
-  S.Lru.push_front(Entry{Key, Stored, Bytes});
-  S.Map.emplace(Key, S.Lru.begin());
-  S.Bytes += Bytes;
-  while (S.Lru.size() > EntriesPerStripe ||
-         (S.Bytes > BytesPerStripe && S.Lru.size() > 1)) {
-    S.Bytes -= S.Lru.back().Bytes;
-    S.Map.erase(S.Lru.back().Key);
-    S.Lru.pop_back();
-    cacheEvent("eviction").inc();
-  }
-  return Stored;
+  if (R.Evicted)
+    cacheEvent("eviction").inc(R.Evicted);
+  return std::move(R.Value);
 }
 
 size_t ObservationCache::size() const {
-  size_t Total = 0;
-  for (const Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Total += S.Lru.size();
-  }
-  return Total;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Cache.size();
 }
 
 size_t ObservationCache::bytes() const {
-  size_t Total = 0;
-  for (const Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Total += S.Bytes;
-  }
-  return Total;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return Cache.bytes();
 }
 
 void ObservationCache::clear() {
-  for (Stripe &S : Stripes) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    S.Lru.clear();
-    S.Map.clear();
-    S.Bytes = 0;
-  }
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Cache.clear();
 }

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 // The parallel environment runtime: ServiceBroker shard routing and crash
 // recovery at fleet scale, EnvPool vectorized/episode-parallel stepping
-// with no episodes lost to injected faults, and the striped
-// ObservationCache the broker shares across its shards.
+// with no episodes lost to injected faults, and the ObservationCache the
+// broker shares across its shards.
 
 #include "runtime/EnvPool.h"
 #include "runtime/ServiceBroker.h"
@@ -83,21 +83,21 @@ TEST(ObservationCache, RoundTripAndCounters) {
   EXPECT_EQ(Cache.size(), 1u);
 }
 
-TEST(ObservationCache, LruEvictsColdEntriesPerStripe) {
+TEST(ObservationCache, LruEvictsColdEntries) {
   telemetry::Counter &EvictEvents = cacheEvents("eviction");
   const uint64_t Evictions0 = EvictEvents.value();
   ObservationCache Cache;
   // Twice the fixed capacity, with one hot entry touched after every
-  // insert: each stripe overflows, evicting its least recently used
+  // insert: the cache overflows, evicting its least recently used
   // entries, and never the hot one.
   constexpr uint64_t Hot = 1;
   Cache.insert(Hot, "S", intObs(-1));
-  constexpr size_t Inserts = 2 * ObservationCache::capacity();
+  constexpr size_t Inserts = 2 * ObservationCache::MaxEntries;
   for (size_t I = 0; I < Inserts; ++I) {
     Cache.insert(I + 100, "S", intObs(static_cast<int64_t>(I)));
     ASSERT_NE(Cache.lookup(Hot, "S"), nullptr) << "after insert " << I;
   }
-  EXPECT_EQ(Cache.size(), ObservationCache::capacity());
+  EXPECT_EQ(Cache.size(), ObservationCache::MaxEntries);
   EXPECT_EQ(EvictEvents.value() - Evictions0, Inserts + 1 - Cache.size());
   EXPECT_EQ(Cache.lookup(100, "S"), nullptr); // Oldest: evicted.
   auto Newest = Cache.lookup(Inserts + 99, "S");
@@ -116,8 +116,7 @@ TEST(ObservationCache, ByteBoundKeepsOversizedEntries) {
     return Obs;
   };
   constexpr size_t MiB = size_t(1) << 20;
-  constexpr size_t Budget =
-      ObservationCache::StripeCount * ObservationCache::BytesPerStripe;
+  constexpr size_t Budget = ObservationCache::MaxBytes;
   // 1 MiB values: 96 MiB inserted, at most 64 MiB retained, and the
   // entry bound is nowhere near.
   for (uint64_t K = 1; K <= 96; ++K) {
@@ -126,13 +125,17 @@ TEST(ObservationCache, ByteBoundKeepsOversizedEntries) {
   }
   EXPECT_GT(EvictEvents.value(), Evictions0);
   EXPECT_LT(Cache.size(), 96u);
-  // An 8 MiB value exceeds a stripe's 4 MiB budget: it is kept as its
-  // stripe's only entry, so it is still retrievable.
-  Cache.insert(1000, "Inst2vec", bytesObs(8 * MiB, 'b'));
+  // A value past the whole 64 MiB budget evicts every other entry and is
+  // kept as the only one, so it is still retrievable.
+  const size_t Before = Cache.size();
+  const uint64_t Evictions1 = EvictEvents.value();
+  Cache.insert(1000, "Inst2vec", bytesObs(Budget + MiB, 'b'));
+  EXPECT_EQ(EvictEvents.value() - Evictions1, Before);
+  EXPECT_EQ(Cache.size(), 1u);
   auto Big = Cache.lookup(1000, "Inst2vec");
   ASSERT_NE(Big, nullptr);
-  EXPECT_EQ(Big->Str.size(), 8 * MiB);
-  EXPECT_LE(Cache.bytes(), Budget + 8 * MiB);
+  EXPECT_EQ(Big->Str.size(), Budget + MiB);
+  EXPECT_GT(Cache.bytes(), Budget);
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Cache.bytes(), 0u);
@@ -149,8 +152,8 @@ TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
   for (int T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&Cache, T] {
       for (int I = 0; I < OpsPerThread; ++I) {
-        // More distinct keys than the fixed capacity, so stripes also
-        // evict under contention.
+        // More distinct keys than the fixed capacity, so the cache also
+        // evicts under contention.
         uint64_t Key = static_cast<uint64_t>((T * 31 + I) % 6007 + 1);
         if (I % 3 == 0) {
           Cache.insert(Key, "S", intObs(static_cast<int64_t>(Key)));
@@ -164,7 +167,7 @@ TEST(ObservationCache, ConcurrentMixedTrafficIsSafe) {
   }
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_LE(Cache.size(), ObservationCache::capacity());
+  EXPECT_LE(Cache.size(), ObservationCache::MaxEntries);
   // Each thread performs one lookup per op where I % 3 != 0.
   constexpr uint64_t LookupsPerThread =
       OpsPerThread - (OpsPerThread + 2) / 3;

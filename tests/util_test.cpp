@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "util/LruCache.h"
 #include "util/Rng.h"
 #include "util/Stats.h"
 #include "util/Status.h"
@@ -66,6 +67,96 @@ TEST(StatusOr, TakeValueMoves) {
   ASSERT_TRUE(S.isOk());
   std::string Out = S.takeValue();
   EXPECT_EQ(Out, "payload");
+}
+
+// -- LruCache -------------------------------------------------------------------
+
+using IntLru = util::LruCache<int>;
+
+std::shared_ptr<const int> boxed(int V) { return std::make_shared<const int>(V); }
+
+TEST(LruCache, HitPromotesEntry) {
+  IntLru Cache(/*MaxEntries=*/2);
+  Cache.insert(1, boxed(10));
+  Cache.insert(2, boxed(20));
+  auto Hit = Cache.get(1); // 2 is now the least recently used.
+  ASSERT_NE(Hit, nullptr);
+  EXPECT_EQ(*Hit, 10);
+  EXPECT_EQ(Cache.get(7), nullptr);
+  EXPECT_EQ(Cache.insert(3, boxed(30)).Evicted, 1u);
+  EXPECT_NE(Cache.get(1), nullptr);
+  EXPECT_EQ(Cache.get(2), nullptr);
+  EXPECT_NE(Cache.get(3), nullptr);
+}
+
+TEST(LruCache, SecondInsertKeepsFirstValue) {
+  IntLru Cache(/*MaxEntries=*/4, /*MaxBytes=*/100);
+  auto First = Cache.insert(1, boxed(10), 8);
+  EXPECT_EQ(*First.Value, 10);
+  EXPECT_EQ(First.Evicted, 0u);
+  // Two workers that missed the same key both insert: one entry, and the
+  // second gets the first value back.
+  auto Second = Cache.insert(1, boxed(99), 8);
+  EXPECT_EQ(Second.Value, First.Value);
+  EXPECT_EQ(Second.Evicted, 0u);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.bytes(), 8u);
+  // The repeated insert left no stale entry behind to evict the live one.
+  for (int K = 2; K <= 4; ++K)
+    Cache.insert(K, boxed(K), 8);
+  EXPECT_EQ(Cache.size(), 4u);
+  EXPECT_EQ(*Cache.get(1), 10);
+}
+
+TEST(LruCache, EntryBoundEvictsLeastRecentlyUsedFirst) {
+  IntLru Cache(/*MaxEntries=*/3);
+  for (int K = 1; K <= 3; ++K)
+    EXPECT_EQ(Cache.insert(K, boxed(K)).Evicted, 0u);
+  // Re-inserting 1 promotes it, like a hit: 2 is now the oldest.
+  Cache.insert(1, boxed(1));
+  EXPECT_EQ(Cache.insert(4, boxed(4)).Evicted, 1u);
+  EXPECT_EQ(Cache.get(2), nullptr);
+  EXPECT_EQ(Cache.insert(5, boxed(5)).Evicted, 1u);
+  EXPECT_EQ(Cache.get(3), nullptr);
+  EXPECT_EQ(Cache.size(), 3u);
+  for (int K : {1, 4, 5})
+    EXPECT_NE(Cache.get(K), nullptr) << K;
+}
+
+TEST(LruCache, ByteBoundEvictsAndKeepsOversizedEntryAlone) {
+  IntLru Cache(/*MaxEntries=*/10, /*MaxBytes=*/100);
+  for (int K = 1; K <= 4; ++K)
+    Cache.insert(K, boxed(K), 30);
+  // 120 bytes inserted: the oldest entry went to fit the 100-byte budget.
+  EXPECT_EQ(Cache.size(), 3u);
+  EXPECT_EQ(Cache.bytes(), 90u);
+  EXPECT_EQ(Cache.get(1), nullptr);
+  // An entry larger than the whole budget evicts every other one and is
+  // kept as the only entry.
+  auto Big = Cache.insert(9, boxed(9), 150);
+  EXPECT_EQ(Big.Evicted, 3u);
+  EXPECT_EQ(*Big.Value, 9);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.bytes(), 150u);
+  ASSERT_NE(Cache.get(9), nullptr);
+  // The next insert evicts it.
+  EXPECT_EQ(Cache.insert(10, boxed(10), 10).Evicted, 1u);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.bytes(), 10u);
+}
+
+TEST(LruCache, ClearZeroesBothCounts) {
+  IntLru Cache(/*MaxEntries=*/4, /*MaxBytes=*/100);
+  Cache.insert(1, boxed(1), 40);
+  Cache.insert(2, boxed(2), 40);
+  Cache.clear();
+  EXPECT_EQ(Cache.size(), 0u);
+  EXPECT_EQ(Cache.bytes(), 0u);
+  EXPECT_EQ(Cache.get(1), nullptr);
+  // Usable again, at the full budget.
+  Cache.insert(3, boxed(3), 100);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.bytes(), 100u);
 }
 
 // -- Rng ------------------------------------------------------------------------
