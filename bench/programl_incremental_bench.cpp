@@ -25,6 +25,7 @@
 #include "analysis/ProGraML.h"
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
+#include "ir/UseTable.h"
 #include "passes/AnalysisManager.h"
 #include "service/Serialization.h"
 #include "util/Timer.h"
@@ -129,11 +130,12 @@ int main() {
     service::Observation PgBase = programlObs(Cache.programl(*M));
     ir::Function *MutableMid =
         M->functions()[M->functions().size() / 2].get();
+    ir::UseTable MidUses(*MutableMid);
     for (const auto &BB : MutableMid->blocks()) {
       bool Deleted = false;
       for (size_t I = 0; I < BB->size(); ++I) {
         const ir::Instruction *Inst = BB->instructions()[I].get();
-        if (Inst->isTerminator() || MutableMid->hasUses(Inst) ||
+        if (Inst->isTerminator() || MidUses.hasUses(Inst) ||
             Inst->hasSideEffects())
           continue;
         BB->erase(I);

@@ -64,20 +64,6 @@ void Function::forEachInstruction(
       Fn(*BB, *I);
 }
 
-size_t Function::replaceAllUsesWith(Value *Old, Value *New) {
-  assert(Old != New && "RAUW with identical values");
-  size_t Rewritten = 0;
-  forEachInstruction([&](BasicBlock &, Instruction &I) {
-    for (size_t OpIdx = 0; OpIdx < I.numOperands(); ++OpIdx) {
-      if (I.operand(OpIdx) == Old) {
-        I.setOperand(OpIdx, New);
-        ++Rewritten;
-      }
-    }
-  });
-  return Rewritten;
-}
-
 std::unordered_map<const Value *, size_t> Function::computeUseCounts() const {
   std::unordered_map<const Value *, size_t> Counts;
   forEachInstruction([&](BasicBlock &, Instruction &I) {
@@ -85,18 +71,4 @@ std::unordered_map<const Value *, size_t> Function::computeUseCounts() const {
       ++Counts[Op];
   });
   return Counts;
-}
-
-bool Function::hasUses(const Value *V) const {
-  bool Found = false;
-  forEachInstruction([&](BasicBlock &, Instruction &I) {
-    if (Found)
-      return;
-    for (const Value *Op : I.operands())
-      if (Op == V) {
-        Found = true;
-        return;
-      }
-  });
-  return Found;
 }

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Function: arguments plus an owned list of basic blocks; the first block
-/// is the entry. Functions provide whole-function helpers (use scanning,
-/// RAUW) that passes rely on instead of per-value use lists.
+/// is the entry. Values keep no use lists: code that needs a value's users,
+/// or replaces all its uses, builds one ir::UseTable (ir/UseTable.h) per
+/// function and patches it at each edit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,16 +81,8 @@ public:
   void forEachInstruction(
       const std::function<void(BasicBlock &, Instruction &)> &Fn) const;
 
-  /// Replaces every operand use of \p Old with \p New across the function
-  /// (including phi incoming values; not block operands). Returns the
-  /// number of uses rewritten.
-  size_t replaceAllUsesWith(Value *Old, Value *New);
-
   /// Counts operand uses of every instruction/argument in one scan.
   std::unordered_map<const Value *, size_t> computeUseCounts() const;
-
-  /// True if \p V has at least one operand use in this function.
-  bool hasUses(const Value *V) const;
 
 private:
   std::string Name;

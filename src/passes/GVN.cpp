@@ -17,6 +17,7 @@
 #include "passes/Utils.h"
 
 #include "ir/Dominators.h"
+#include "ir/UseTable.h"
 
 #include <algorithm>
 #include <map>
@@ -69,17 +70,18 @@ public:
 
     bool Changed = false;
     std::map<ExprKey, Value *> Table;
+    UseTable Uses(F);
     // Scope stack entries record the keys we shadowed/added per block.
-    dfs(F, F.entry(), Children, Ids, Table, Changed);
+    dfs(F.entry(), Children, Ids, Table, Uses, Changed);
     return PassResult::make(Changed, PreservedAnalyses::cfg());
   }
 
 private:
-  void dfs(Function &F, BasicBlock *BB,
+  void dfs(BasicBlock *BB,
            std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>
                &Children,
            const StableValueIds &Ids, std::map<ExprKey, Value *> &Table,
-           bool &Changed) {
+           UseTable &Uses, bool &Changed) {
     std::vector<std::pair<ExprKey, Value *>> Shadowed;
     std::vector<ExprKey> Added;
 
@@ -95,7 +97,8 @@ private:
           uint64_t PtrId = Ids.idOf(Inst->operand(0));
           auto It = LocalLoads.find(PtrId);
           if (It != LocalLoads.end() && It->second->type() == Inst->type()) {
-            F.replaceAllUsesWith(Inst, It->second);
+            Uses.replaceAllUsesWith(Inst, It->second);
+            Uses.drop(Inst);
             BB->erase(I);
             --I;
             Changed = true;
@@ -109,7 +112,8 @@ private:
       ExprKey Key = makeKey(*Inst, Ids);
       auto It = Table.find(Key);
       if (It != Table.end()) {
-        F.replaceAllUsesWith(Inst, It->second);
+        Uses.replaceAllUsesWith(Inst, It->second);
+        Uses.drop(Inst);
         BB->erase(I);
         --I;
         Changed = true;
@@ -122,7 +126,7 @@ private:
     auto ChildIt = Children.find(BB);
     if (ChildIt != Children.end())
       for (BasicBlock *Child : ChildIt->second)
-        dfs(F, Child, Children, Ids, Table, Changed);
+        dfs(Child, Children, Ids, Table, Uses, Changed);
 
     for (const ExprKey &Key : Added)
       Table.erase(Key);

@@ -15,6 +15,8 @@
 #include "passes/Transforms.h"
 #include "passes/Utils.h"
 
+#include "ir/UseTable.h"
+
 #include <unordered_map>
 #include <unordered_set>
 
@@ -51,10 +53,11 @@ public:
         AM.cowDetached(Old, Caller);
         Sites = inlinableSites(M, *Caller);
       }
+      UseTable Uses(*Caller); // Built at the first call value replaced.
       for (Instruction *Call : Sites) {
         // The call's parent may have been split by an earlier inline in
         // the same block; always use the current parent.
-        inlineSite(M, *Caller, Call->parent(), Call);
+        inlineSite(M, *Caller, Call->parent(), Call, Uses);
       }
       // Only callers mutate; callees and bystanders keep their analyses.
       M.functionChanged(Idx);
@@ -69,11 +72,18 @@ private:
   std::vector<Instruction *> inlinableSites(const Module &M,
                                             Function &Caller) const {
     std::vector<Instruction *> Sites;
+    // One verdict per callee: shouldInline() walks the callee's body.
+    std::unordered_map<const Function *, bool> Verdicts;
     Caller.forEachInstruction([&](BasicBlock &, Instruction &I) {
       if (I.opcode() != Opcode::Call)
         return;
       const Function *Callee = I.calledFunction(M);
-      if (Callee && shouldInline(Caller, *Callee))
+      if (!Callee)
+        return;
+      auto [It, Inserted] = Verdicts.emplace(Callee, false);
+      if (Inserted)
+        It->second = shouldInline(Caller, *Callee);
+      if (It->second)
         Sites.push_back(&I);
     });
     return Sites;
@@ -95,7 +105,7 @@ private:
   }
 
   void inlineSite(Module &M, Function &Caller, BasicBlock *BB,
-                  Instruction *Call) {
+                  Instruction *Call, UseTable &Uses) {
     Function *Callee = M.findFunction(Call->calleeName());
     size_t CallIdx = BB->indexOf(Call);
 
@@ -140,6 +150,7 @@ private:
           auto It = Map.find(Op);
           NewI->operands().push_back(It == Map.end() ? Op : It->second);
         }
+        Uses.add(NewI);
       }
     }
 
@@ -150,6 +161,7 @@ private:
       if (!Term || Term->opcode() != Opcode::Ret)
         continue;
       Value *RetVal = Term->numOperands() ? Term->operand(0) : nullptr;
+      Uses.drop(Term);
       NB->erase(NB->size() - 1);
       auto Br = std::make_unique<Instruction>(Opcode::Br, Type::Void,
                                               std::vector<Value *>{Cont});
@@ -166,8 +178,9 @@ private:
         Instruction *PhiI = Cont->insert(0, std::move(Phi));
         for (auto &[V, NB] : Returns)
           PhiI->addIncoming(V, NB);
-        Caller.replaceAllUsesWith(Call, PhiI);
-      } else if (Caller.hasUses(Call)) {
+        Uses.add(PhiI);
+        Uses.replaceAllUsesWith(Call, PhiI);
+      } else if (Uses.hasUses(Call)) {
         Value *Zero = Call->type() == Type::F64
                           ? static_cast<Value *>(M.getConstFloat(0.0))
                           : static_cast<Value *>(
@@ -182,12 +195,13 @@ private:
               Opcode::IntToPtr, Type::Ptr, std::vector<Value *>{Zero});
           Zero = Cont->insert(0, std::move(Cast));
         }
-        Caller.replaceAllUsesWith(Call, Zero);
+        Uses.replaceAllUsesWith(Call, Zero);
       }
     }
 
     // 5. Replace the call instruction with a branch to the cloned entry.
     BasicBlock *ClonedEntry = NewBlocks.front();
+    Uses.drop(Call);
     BB->erase(CallIdx);
     auto Br = std::make_unique<Instruction>(
         Opcode::Br, Type::Void, std::vector<Value *>{ClonedEntry});

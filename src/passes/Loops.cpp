@@ -17,6 +17,7 @@
 
 #include "ir/CFG.h"
 #include "ir/Dominators.h"
+#include "ir/UseTable.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -234,6 +235,9 @@ public:
   }
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
+    // Unrolling registers every clone and drops every erased instruction,
+    // so one table serves all rounds.
+    UseTable Uses(F);
     bool Changed = false;
     bool LocalChange = true;
     while (LocalChange) {
@@ -245,7 +249,7 @@ public:
       for (const NaturalLoop &Loop : Loops) {
         if (Loop.Blocks.size() != 1)
           continue; // Only self-loop blocks (rotated form).
-        if (tryUnroll(F, Loop, Preds)) {
+        if (tryUnroll(F, Loop, Preds, Uses)) {
           AM.invalidate(F, PreservedAnalyses::none());
           LocalChange = Changed = true;
           break;
@@ -259,7 +263,7 @@ public:
 
 private:
   bool tryUnroll(Function &F, const NaturalLoop &Loop,
-                 const PredecessorTable &Preds) {
+                 const PredecessorTable &Preds, UseTable &Uses) {
     BasicBlock *B = Loop.Header;
     BasicBlock *PH = findPreheader(Loop, Preds);
     if (!PH)
@@ -305,7 +309,7 @@ private:
       return false;
 
     unroll(F, B, PH, Exit, Phis, Init, Next, ContinueOnTrue,
-           static_cast<unsigned>(Trip));
+           static_cast<unsigned>(Trip), Uses);
     return true;
   }
 
@@ -388,7 +392,7 @@ private:
               const std::vector<Instruction *> &Phis,
               std::unordered_map<Instruction *, Value *> &Init,
               std::unordered_map<Instruction *, Value *> &Next,
-              bool ContinueOnTrue, unsigned Trip) {
+              bool ContinueOnTrue, unsigned Trip, UseTable &Uses) {
     // Current SSA value for each phi, starting from the preheader inputs.
     std::unordered_map<const Value *, Value *> PhiVal;
     for (Instruction *Phi : Phis)
@@ -412,7 +416,9 @@ private:
           auto It = Map.find(Op);
           Clone->operands().push_back(It == Map.end() ? Op : It->second);
         }
-        Map[Inst] = Copy->append(std::move(Clone));
+        Instruction *NewI = Copy->append(std::move(Clone));
+        Uses.add(NewI);
+        Map[Inst] = NewI;
       }
       // Advance the phi values through the latch edge.
       std::unordered_map<const Value *, Value *> NewPhiVal;
@@ -440,19 +446,21 @@ private:
     //  * uses of B's body instructions become the last copy's clones;
     //  * Exit's phis see the last copy as predecessor instead of B.
     for (Instruction *Phi : Phis)
-      F.replaceAllUsesWith(Phi, LastMap.at(Phi));
+      Uses.replaceAllUsesWith(Phi, LastMap.at(Phi));
     for (size_t I = B->firstNonPhi(); I + 1 < B->size(); ++I) {
       Instruction *Inst = B->instructions()[I].get();
       auto It = LastMap.find(Inst);
-      if (It != LastMap.end() && F.hasUses(Inst))
-        F.replaceAllUsesWith(Inst, It->second);
+      if (It != LastMap.end())
+        Uses.replaceAllUsesWith(Inst, It->second);
     }
     replacePhiIncomingBlock(*Exit, B, Copies.back());
 
     // B is now unreachable; its self-edges vanish with it.
     // Remove B's instructions' references then the block.
-    while (!B->empty())
+    while (!B->empty()) {
+      Uses.drop(B->back());
       B->erase(B->size() - 1);
+    }
     F.eraseBlock(B);
   }
 
@@ -473,8 +481,10 @@ public:
       if (Loops.empty())
         break;
       PredecessorTable Preds(F);
+      // A deletion erases whole blocks, which ends the round and the table.
+      UseTable Uses(F);
       for (const NaturalLoop &Loop : Loops) {
-        if (tryDelete(F, Loop, Preds)) {
+        if (tryDelete(F, Loop, Preds, Uses)) {
           AM.invalidate(F, PreservedAnalyses::none());
           LocalChange = Changed = true;
           break;
@@ -488,7 +498,7 @@ public:
 
 private:
   static bool tryDelete(Function &F, const NaturalLoop &Loop,
-                        const PredecessorTable &Preds) {
+                        const PredecessorTable &Preds, UseTable &Uses) {
     BasicBlock *PH = findPreheader(Loop, Preds);
     if (!PH)
       return false;
@@ -509,20 +519,11 @@ private:
     if (Exit->firstNonPhi() > 0)
       return false;
     // Nothing defined inside may be used outside.
-    std::unordered_set<const Value *> InLoop;
     for (BasicBlock *BB : Loop.Blocks)
       for (const auto &I : BB->instructions())
-        InLoop.insert(I.get());
-    bool UsedOutside = false;
-    F.forEachInstruction([&](BasicBlock &BB, Instruction &I) {
-      if (Loop.contains(&BB))
-        return;
-      for (const Value *Op : I.operands())
-        if (InLoop.count(Op))
-          UsedOutside = true;
-    });
-    if (UsedOutside)
-      return false;
+        for (const Instruction *User : Uses.users(I.get()))
+          if (!Loop.contains(User->parent()))
+            return false;
 
     // Redirect the preheader straight to the exit and drop the loop.
     PH->terminator()->replaceSuccessor(Loop.Header, Exit);

@@ -12,6 +12,11 @@
 /// the stack), so this pass is the keystone first action, exactly as
 /// -mem2reg is for LLVM.
 ///
+/// All slots are renamed in one walk over the dominator tree with one value
+/// stack per slot (Cytron et al.). Each promoted load's replacement is
+/// recorded, and one sweep at the end rewrites operands through those
+/// records, so the pass is linear in the function plus the phis it adds.
+///
 //===----------------------------------------------------------------------===//
 
 #include "passes/Transforms.h"
@@ -21,13 +26,22 @@
 #include "ir/Dominators.h"
 
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace compiler_gym;
 using namespace compiler_gym::passes;
 using namespace compiler_gym::ir;
 
 namespace {
+
+/// One alloca and, once it is known to be promotable, its renaming state.
+struct Slot {
+  bool Promotable = true;
+  bool HasLoads = false;
+  Type ValueTy = Type::Void;
+  std::vector<unsigned> DefBlocks; ///< Blocks with a store, by table index.
+  std::vector<Value *> Stack;      ///< Current values, innermost last.
+  Value *Zero = nullptr;           ///< What a read before any write sees.
+};
 
 class Mem2RegPass : public FunctionPass {
 public:
@@ -39,208 +53,204 @@ public:
     if (CfgChanged)
       AM.invalidate(F, PreservedAnalyses::none());
 
-    const DominatorTree &DT = AM.domTree(F);
-    std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>
-        DomChildren;
-    for (const auto &BB : F.blocks())
-      if (BasicBlock *Parent = DT.idom(BB.get()))
-        DomChildren[Parent].push_back(BB.get());
-
-    // Dominance frontiers (Cytron et al.).
-    PredecessorTable PredTable(F);
-    std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> DF;
-    for (const auto &BBPtr : F.blocks()) {
-      BasicBlock *BB = BBPtr.get();
-      const std::vector<BasicBlock *> &Preds = PredTable[BB];
-      if (Preds.size() < 2)
-        continue;
-      BasicBlock *IDom = DT.idom(BB);
-      for (BasicBlock *Pred : Preds) {
-        BasicBlock *Runner = Pred;
-        while (Runner && Runner != IDom) {
-          DF[Runner].push_back(BB);
-          Runner = DT.idom(Runner);
-        }
-      }
-    }
-
     // Classify every alloca in one whole-function scan (per-alloca scans
     // would make the pass quadratic on big modules).
-    struct SlotInfo {
-      bool Promotable = true;
-      Type ValueTy = Type::Void;
-      std::vector<Instruction *> Loads;
-      std::vector<Instruction *> Stores;
-      std::unordered_set<BasicBlock *> DefBlocks;
-    };
-    std::unordered_map<Instruction *, SlotInfo> Slots;
+    std::vector<Slot> Slots;
+    std::unordered_map<const Instruction *, unsigned> SlotOf;
     F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      if (I.opcode() == Opcode::Alloca)
-        Slots[&I].Promotable = I.allocaWords() == 1;
+      if (I.opcode() != Opcode::Alloca)
+        return;
+      SlotOf.emplace(&I, static_cast<unsigned>(Slots.size()));
+      Slots.emplace_back().Promotable = I.allocaWords() == 1;
     });
+    if (Slots.empty())
+      return PassResult::make(CfgChanged, PreservedAnalyses::cfg());
+    PredecessorTable Preds(F);
     F.forEachInstruction([&](BasicBlock &BB, Instruction &I) {
       for (size_t Op = 0; Op < I.numOperands(); ++Op) {
         auto *Def = dyn_cast<Instruction>(I.operand(Op));
-        if (!Def)
+        if (!Def || Def->opcode() != Opcode::Alloca)
           continue;
-        auto It = Slots.find(Def);
-        if (It == Slots.end())
-          continue;
-        SlotInfo &Slot = It->second;
+        Slot &S = Slots[SlotOf.at(Def)];
+        Type Ty = Type::Void;
         if (I.opcode() == Opcode::Load && Op == 0) {
-          if (Slot.ValueTy == Type::Void)
-            Slot.ValueTy = I.type();
-          else if (Slot.ValueTy != I.type())
-            Slot.Promotable = false;
-          Slot.Loads.push_back(&I);
+          Ty = I.type();
+          S.HasLoads = true;
         } else if (I.opcode() == Opcode::Store && Op == 1) {
-          if (Slot.ValueTy == Type::Void)
-            Slot.ValueTy = I.operand(0)->type();
-          else if (Slot.ValueTy != I.operand(0)->type())
-            Slot.Promotable = false;
-          Slot.Stores.push_back(&I);
-          Slot.DefBlocks.insert(&BB);
+          Ty = I.operand(0)->type();
+          unsigned Idx = Preds.index(&BB);
+          if (S.DefBlocks.empty() || S.DefBlocks.back() != Idx)
+            S.DefBlocks.push_back(Idx);
         } else {
-          Slot.Promotable = false; // Address escapes.
+          S.Promotable = false; // Address escapes.
+          continue;
         }
+        if (S.ValueTy == Type::Void)
+          S.ValueTy = Ty;
+        else if (S.ValueTy != Ty)
+          S.Promotable = false;
       }
     });
-
-    // Deterministic promotion order: program order of the allocas.
-    std::vector<Instruction *> Order;
-    F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      auto It = Slots.find(&I);
-      if (It != Slots.end() && It->second.Promotable)
-        Order.push_back(&I);
-    });
+    auto slotOf = [&](const Value *Ptr) -> Slot * {
+      auto *Def = dyn_cast<Instruction>(Ptr);
+      if (!Def || Def->opcode() != Opcode::Alloca)
+        return nullptr;
+      Slot &S = Slots[SlotOf.at(Def)];
+      return S.Promotable ? &S : nullptr;
+    };
     bool Promoted = false;
-    for (Instruction *Alloca : Order) {
-      SlotInfo &Slot = Slots.at(Alloca);
-      Promoted |= promote(F, *Alloca, Slot.ValueTy, Slot.Loads, Slot.Stores,
-                          Slot.DefBlocks, DT, DomChildren, DF);
+    for (const Slot &S : Slots)
+      Promoted |= S.Promotable;
+    if (!Promoted)
+      return PassResult::make(CfgChanged, PreservedAnalyses::cfg());
+
+    // Dominator-tree children and dominance frontiers (Cytron et al.), by
+    // table index.
+    const DominatorTree &DT = AM.domTree(F);
+    const size_t NumBlocks = Preds.size();
+    std::vector<std::vector<BasicBlock *>> DomChildren(NumBlocks);
+    std::vector<std::vector<unsigned>> DF(NumBlocks);
+    for (unsigned Idx = 0; Idx < NumBlocks; ++Idx) {
+      BasicBlock *BB = Preds.block(Idx);
+      BasicBlock *IDom = DT.idom(BB);
+      if (IDom)
+        DomChildren[Preds.index(IDom)].push_back(BB);
+      if (Preds[BB].size() < 2)
+        continue;
+      for (BasicBlock *Runner : Preds[BB])
+        for (; Runner && Runner != IDom; Runner = DT.idom(Runner))
+          DF[Preds.index(Runner)].push_back(Idx);
     }
+
+    // Phis at the iterated dominance frontier of each read slot's stores.
+    // Each goes to the top of its block, so a block's phis end up in
+    // reverse program order of their allocas.
+    std::vector<std::vector<std::pair<Slot *, Instruction *>>> BlockPhis(
+        NumBlocks);
+    std::vector<unsigned> PhiMark(NumBlocks, ~0u);
+    for (unsigned SlotIdx = 0; SlotIdx < Slots.size(); ++SlotIdx) {
+      Slot &S = Slots[SlotIdx];
+      if (!S.Promotable || !S.HasLoads)
+        continue;
+      std::vector<unsigned> Work = S.DefBlocks;
+      while (!Work.empty()) {
+        unsigned Idx = Work.back();
+        Work.pop_back();
+        for (unsigned Frontier : DF[Idx]) {
+          if (PhiMark[Frontier] == SlotIdx)
+            continue;
+          PhiMark[Frontier] = SlotIdx;
+          Work.push_back(Frontier);
+          Instruction *Phi = Preds.block(Frontier)->insert(
+              0, std::make_unique<Instruction>(Opcode::Phi, S.ValueTy));
+          BlockPhis[Frontier].emplace_back(&S, Phi);
+        }
+      }
+    }
+
+    // Rename along the dominator tree. Reads before any write become zero
+    // constants (defined behaviour, like our interpreter's zeroed
+    // registers).
+    Module &M = *F.parent();
+    auto current = [&](Slot &S) -> Value * {
+      if (!S.Stack.empty())
+        return S.Stack.back();
+      if (!S.Zero)
+        S.Zero = S.ValueTy == Type::F64
+                     ? static_cast<Value *>(M.getConstFloat(0.0))
+                     : static_cast<Value *>(M.getConstInt(S.ValueTy, 0));
+      return S.Zero;
+    };
+    std::unordered_map<const Instruction *, Value *> LoadValue;
+    std::vector<std::pair<BasicBlock *, std::vector<size_t>>> Doomed;
+    std::vector<Slot *> Pushed; // Undo log of every stack push.
+    auto push = [&](Slot &S, Value *V) {
+      S.Stack.push_back(V);
+      Pushed.push_back(&S);
+    };
+    auto visit = [&](BasicBlock *BB) {
+      for (auto &[S, Phi] : BlockPhis[Preds.index(BB)])
+        push(*S, Phi);
+      std::vector<size_t> Dead;
+      for (size_t I = 0; I < BB->size(); ++I) {
+        Instruction *Inst = BB->instructions()[I].get();
+        Slot *S = nullptr;
+        if (Inst->opcode() == Opcode::Load &&
+            (S = slotOf(Inst->operand(0)))) {
+          LoadValue.emplace(Inst, current(*S));
+        } else if (Inst->opcode() == Opcode::Store &&
+                   (S = slotOf(Inst->operand(1)))) {
+          if (S->HasLoads)
+            push(*S, Inst->operand(0));
+        } else if (Inst->opcode() != Opcode::Alloca || !slotOf(Inst)) {
+          continue;
+        }
+        Dead.push_back(I);
+      }
+      if (!Dead.empty())
+        Doomed.emplace_back(BB, std::move(Dead));
+      // A condbr naming one target twice is one CFG edge: one incoming.
+      Instruction *Term = BB->terminator();
+      for (unsigned K = 0; Term && K < Term->numSuccessors(); ++K) {
+        BasicBlock *Succ = Term->successor(K);
+        if (K == 1 && Succ == Term->successor(0))
+          continue;
+        for (auto &[S, Phi] : BlockPhis[Preds.index(Succ)])
+          Phi->addIncoming(current(*S), BB);
+      }
+    };
+    struct Frame {
+      BasicBlock *BB;
+      size_t ChildCursor;
+      size_t UndoMark;
+    };
+    // Iterative DFS to avoid deep recursion on long CFG chains.
+    std::vector<Frame> Stack{{F.entry(), 0, 0}};
+    visit(F.entry());
+    while (!Stack.empty()) {
+      Frame &Top = Stack.back();
+      const std::vector<BasicBlock *> &Children =
+          DomChildren[Preds.index(Top.BB)];
+      if (Top.ChildCursor < Children.size()) {
+        BasicBlock *Child = Children[Top.ChildCursor++];
+        Stack.push_back({Child, 0, Pushed.size()});
+        visit(Child);
+        continue;
+      }
+      for (; Pushed.size() > Top.UndoMark; Pushed.pop_back())
+        Pushed.back()->Stack.pop_back();
+      Stack.pop_back();
+    }
+
+    // One sweep points every use of a promoted load at its value. A stored
+    // value or phi incoming recorded for a load may itself be a promoted
+    // load, so replacements resolve through the records.
+    auto resolve = [&](Value *V) {
+      for (;;) {
+        auto *Ld = dyn_cast<Instruction>(V);
+        if (!Ld || Ld->opcode() != Opcode::Load)
+          return V;
+        auto It = LoadValue.find(Ld);
+        if (It == LoadValue.end())
+          return V;
+        V = It->second;
+      }
+    };
+    if (!LoadValue.empty())
+      F.forEachInstruction([&](BasicBlock &, Instruction &I) {
+        for (size_t Op = 0; Op < I.numOperands(); ++Op)
+          if (Value *New = resolve(I.operand(Op)); New != I.operand(Op))
+            I.setOperand(Op, New);
+      });
+    // Then the promoted loads, stores and allocas go, one pass per block.
+    for (auto &[BB, Dead] : Doomed)
+      for (size_t K = Dead.size(); K-- > 0;)
+        BB->erase(Dead[K]);
     // Promotion inserts phis and deletes memory ops without CFG edits; the
     // up-front unreachable-block cleanup was the only CFG-changing part
     // and already invalidated, after which the tree was recomputed fresh —
     // so only features need the end-of-run invalidation either way.
-    return PassResult::make(CfgChanged || Promoted, PreservedAnalyses::cfg());
-  }
-
-private:
-
-  bool promote(
-      Function &F, Instruction &Alloca, Type ValueTy,
-      const std::vector<Instruction *> &Loads,
-      const std::vector<Instruction *> &Stores,
-      const std::unordered_set<BasicBlock *> &DefBlocks,
-      const DominatorTree &DT,
-      std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>>
-          &DomChildren,
-      std::unordered_map<const BasicBlock *, std::vector<BasicBlock *>> &DF) {
-    Module &M = *F.parent();
-
-    if (Loads.empty()) {
-      // Store-only slot: drop the stores and the alloca.
-      for (Instruction *St : Stores)
-        St->parent()->erase(St->parent()->indexOf(St));
-      Alloca.parent()->erase(Alloca.parent()->indexOf(&Alloca));
-      return true;
-    }
-    assert(ValueTy != Type::Void && "promotable slot with no value type");
-
-    // Iterated dominance frontier -> phi placement.
-    std::unordered_set<BasicBlock *> PhiBlocks;
-    std::vector<BasicBlock *> Work(DefBlocks.begin(), DefBlocks.end());
-    while (!Work.empty()) {
-      BasicBlock *BB = Work.back();
-      Work.pop_back();
-      auto It = DF.find(BB);
-      if (It == DF.end())
-        continue;
-      for (BasicBlock *Frontier : It->second) {
-        if (!PhiBlocks.insert(Frontier).second)
-          continue;
-        Work.push_back(Frontier);
-      }
-    }
-
-    std::unordered_map<BasicBlock *, Instruction *> InsertedPhis;
-    for (BasicBlock *BB : PhiBlocks) {
-      auto Phi = std::make_unique<Instruction>(Opcode::Phi, ValueTy);
-      InsertedPhis[BB] = BB->insert(0, std::move(Phi));
-    }
-
-    // Rename along the dominator tree. "Undef" reads-before-writes become
-    // zero constants (defined behaviour, like our interpreter's zeroed
-    // registers).
-    Value *Zero = ValueTy == Type::F64
-                      ? static_cast<Value *>(M.getConstFloat(0.0))
-                      : static_cast<Value *>(M.getConstInt(ValueTy, 0));
-    std::unordered_set<const Instruction *> LoadSet(Loads.begin(),
-                                                    Loads.end());
-    std::unordered_set<const Instruction *> StoreSet(Stores.begin(),
-                                                     Stores.end());
-
-    struct StackFrame {
-      BasicBlock *BB;
-      Value *Incoming;
-      size_t ChildCursor = 0;
-      Value *OutValue = nullptr;
-    };
-
-    // Iterative DFS to avoid deep recursion on long CFG chains.
-    std::vector<StackFrame> Stack;
-    Stack.push_back({F.entry(), Zero, 0, nullptr});
-    // Pre-pass per block happens when the frame is first visited
-    // (ChildCursor == 0 sentinel via OutValue == nullptr).
-    while (!Stack.empty()) {
-      StackFrame &Frame = Stack.back();
-      BasicBlock *BB = Frame.BB;
-      if (!Frame.OutValue) {
-        Value *Current = Frame.Incoming;
-        auto PhiIt = InsertedPhis.find(BB);
-        if (PhiIt != InsertedPhis.end())
-          Current = PhiIt->second;
-        for (size_t I = 0; I < BB->size(); ++I) {
-          Instruction *Inst = BB->instructions()[I].get();
-          if (LoadSet.count(Inst)) {
-            F.replaceAllUsesWith(Inst, Current);
-            BB->erase(I);
-            --I;
-          } else if (StoreSet.count(Inst)) {
-            Current = Inst->operand(0);
-            BB->erase(I);
-            --I;
-          }
-        }
-        // Feed successors' inserted phis (dedupe: a condbr may name the
-        // same target twice but contributes a single CFG edge).
-        std::unordered_set<BasicBlock *> SeenSuccs;
-        for (BasicBlock *Succ : BB->successors()) {
-          if (!SeenSuccs.insert(Succ).second)
-            continue;
-          auto SuccPhi = InsertedPhis.find(Succ);
-          if (SuccPhi != InsertedPhis.end())
-            SuccPhi->second->addIncoming(Current, BB);
-        }
-        Frame.OutValue = Current;
-      }
-      auto ChildIt = DomChildren.find(BB);
-      if (ChildIt != DomChildren.end() &&
-          Frame.ChildCursor < ChildIt->second.size()) {
-        BasicBlock *Child = ChildIt->second[Frame.ChildCursor++];
-        Stack.push_back({Child, Frame.OutValue, 0, nullptr});
-        continue;
-      }
-      Stack.pop_back();
-    }
-
-    // Phi blocks that were never reached by any incoming edge (e.g. phis
-    // in blocks whose preds were all visited before placement) are fully
-    // populated by the successor hook above. Some inserted phis may be
-    // trivially redundant; leave them to phi-simplify/instcombine.
-    Alloca.parent()->erase(Alloca.parent()->indexOf(&Alloca));
-    return true;
+    return PassResult::make(true, PreservedAnalyses::cfg());
   }
 };
 

@@ -8,6 +8,7 @@
 #include "passes/Utils.h"
 
 #include "ir/CFG.h"
+#include "ir/UseTable.h"
 #include "util/Hash.h"
 
 #include <algorithm>
@@ -24,9 +25,10 @@ namespace {
 
 /// Replaces \p I (at index \p Idx in \p BB) with \p Replacement and erases
 /// it. Helper shared by the folding passes.
-void replaceAndErase(Function &F, BasicBlock &BB, size_t Idx, Instruction *I,
-                     Value *Replacement) {
-  F.replaceAllUsesWith(I, Replacement);
+void replaceAndErase(UseTable &Uses, BasicBlock &BB, size_t Idx,
+                     Instruction *I, Value *Replacement) {
+  Uses.replaceAllUsesWith(I, Replacement);
+  Uses.drop(I);
   BB.erase(Idx);
 }
 
@@ -86,6 +88,7 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
+    UseTable Uses(F);
     bool Changed = false;
     bool LocalChange = true;
     while (LocalChange) {
@@ -96,7 +99,7 @@ public:
           if (Inst->opcode() == Opcode::Phi)
             continue; // PhiSimplifyPass owns phi rewrites.
           if (Value *V = simplifyInstruction(*Inst, M)) {
-            replaceAndErase(F, *BB, I, Inst, V);
+            replaceAndErase(Uses, *BB, I, Inst, V);
             --I;
             LocalChange = Changed = true;
           }
@@ -119,6 +122,7 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
+    UseTable Uses(F);
     bool Changed = false;
     bool LocalChange = true;
     int Rounds = 0;
@@ -128,20 +132,20 @@ public:
         for (size_t I = 0; I < BB->size(); ++I) {
           Instruction *Inst = BB->instructions()[I].get();
           if (Constant *C = foldConstant(*Inst, M)) {
-            replaceAndErase(F, *BB, I, Inst, C);
+            replaceAndErase(Uses, *BB, I, Inst, C);
             --I;
             LocalChange = Changed = true;
             continue;
           }
           if (Inst->opcode() != Opcode::Phi) {
             if (Value *V = simplifyInstruction(*Inst, M)) {
-              replaceAndErase(F, *BB, I, Inst, V);
+              replaceAndErase(Uses, *BB, I, Inst, V);
               --I;
               LocalChange = Changed = true;
               continue;
             }
           }
-          if (combine(*Inst, M)) {
+          if (combine(*Inst, M, Uses)) {
             LocalChange = Changed = true;
           }
         }
@@ -152,7 +156,7 @@ public:
 
 private:
   /// In-place rewrites (operand changes only, no new instructions needed).
-  bool combine(Instruction &I, Module &M) {
+  bool combine(Instruction &I, Module &M, UseTable &Uses) {
     // Associative constant regrouping: (x op c1) op c2 => x op fold(c1,c2).
     if ((I.opcode() == Opcode::Add || I.opcode() == Opcode::Mul ||
          I.opcode() == Opcode::And || I.opcode() == Opcode::Or ||
@@ -183,8 +187,8 @@ private:
             Folded = A ^ B;
             break;
           }
-          I.setOperand(0, Inner->operand(0));
-          I.setOperand(1, M.getConstInt(I.type(), Folded));
+          Uses.setOperand(I, 0, Inner->operand(0));
+          Uses.setOperand(I, 1, M.getConstInt(I.type(), Folded));
           return true;
         }
       }
@@ -193,8 +197,8 @@ private:
     if (I.isCommutative() && isa<Constant>(I.operand(0)) &&
         !isa<Constant>(I.operand(1))) {
       Value *Tmp = I.operand(0);
-      I.setOperand(0, I.operand(1));
-      I.setOperand(1, Tmp);
+      Uses.setOperand(I, 0, I.operand(1));
+      Uses.setOperand(I, 1, Tmp);
       return true;
     }
     return false;
@@ -315,6 +319,7 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
+    UseTable Uses(F);
     // Collect first: rewriting replaces instructions, which would
     // invalidate an in-flight block iteration.
     std::vector<std::pair<Instruction *, int>> Rewrites;
@@ -330,12 +335,13 @@ public:
       Rewrites.emplace_back(&I, Log2);
     });
     for (auto &[I, Log2] : Rewrites)
-      rewriteToShl(*I, M, Log2);
+      rewriteToShl(*I, M, Log2, Uses);
     return PassResult::make(!Rewrites.empty(), PreservedAnalyses::cfg());
   }
 
 private:
-  static void rewriteToShl(Instruction &I, Module &M, int Log2) {
+  static void rewriteToShl(Instruction &I, Module &M, int Log2,
+                           UseTable &Uses) {
     // Mutate opcode via placement of a fresh instruction is not possible
     // without replacing; instead emulate by operand rewrite on a Shl
     // created in place. Opcode is immutable, so replace the instruction.
@@ -346,8 +352,8 @@ private:
         std::vector<Value *>{I.operand(0), M.getConstInt(I.type(), Log2)});
     Shl->setName(I.name());
     Instruction *NewI = BB->insert(Idx, std::move(Shl));
-    BB->parent()->replaceAllUsesWith(&I, NewI);
-    BB->erase(Idx + 1);
+    Uses.add(NewI);
+    replaceAndErase(Uses, *BB, Idx + 1, &I, NewI);
   }
 };
 
@@ -364,17 +370,19 @@ public:
     bool LocalChange = true;
     while (LocalChange) {
       LocalChange = false;
-      // Fold everything foldable.
+      // Fold everything foldable. The table lives for this phase only: the
+      // branch rewrites and block deletions below do not patch it.
+      UseTable Uses(F);
       for (const auto &BB : F.blocks()) {
         for (size_t I = 0; I < BB->size(); ++I) {
           Instruction *Inst = BB->instructions()[I].get();
           if (Constant *C = foldConstant(*Inst, M)) {
-            replaceAndErase(F, *BB, I, Inst, C);
+            replaceAndErase(Uses, *BB, I, Inst, C);
             --I;
             LocalChange = Changed = true;
           } else if (Inst->opcode() == Opcode::Phi) {
             if (Value *V = simplifyInstruction(*Inst, M)) {
-              replaceAndErase(F, *BB, I, Inst, V);
+              replaceAndErase(Uses, *BB, I, Inst, V);
               --I;
               LocalChange = Changed = true;
             }
@@ -416,11 +424,9 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     std::optional<PredecessorTable> Preds; // Sinking moves no edge.
-    // Each value's users, built at the first candidate. Sinking only moves
-    // instructions, so the lists stay valid, and a user's parent() is the
-    // block it sits in now.
-    std::optional<std::unordered_map<const Value *,
-                                     std::vector<Instruction *>>> Users;
+    // Sinking only moves instructions, so the table stays valid, and a
+    // user's parent() is the block it sits in now.
+    UseTable Uses(F);
     bool Changed = false;
     // Map each instruction to its unique using block (if any).
     for (const auto &BB : F.blocks()) {
@@ -430,19 +436,9 @@ public:
         Instruction *Inst = BB->instructions()[I].get();
         if (!Inst->isPure())
           continue;
-        if (!Users) {
-          Users.emplace();
-          F.forEachInstruction([&](BasicBlock &, Instruction &User) {
-            for (const Value *Op : User.operands())
-              (*Users)[Op].push_back(&User);
-          });
-        }
-        auto It = Users->find(Inst);
-        if (It == Users->end())
-          continue;
         BasicBlock *UserBlock = nullptr;
         bool Sinkable = true;
-        for (Instruction *User : It->second) {
+        for (Instruction *User : Uses.users(Inst)) {
           if (User->opcode() == Opcode::Phi) {
             Sinkable = false; // Phi uses live on edges; do not sink.
             break;
@@ -485,6 +481,7 @@ public:
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
     StableValueIds Ids(F);
+    UseTable Uses(F);
     for (const auto &BB : F.blocks()) {
       std::map<std::vector<uint64_t>, Instruction *> Seen;
       for (size_t I = 0; I < BB->size(); ++I) {
@@ -494,7 +491,7 @@ public:
         std::vector<uint64_t> Key = expressionKey(*Inst, Ids);
         auto [It, Inserted] = Seen.emplace(std::move(Key), Inst);
         if (!Inserted) {
-          replaceAndErase(F, *BB, I, Inst, It->second);
+          replaceAndErase(Uses, *BB, I, Inst, It->second);
           --I;
           Changed = true;
         }
@@ -564,6 +561,7 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
+    UseTable Uses(F);
     for (const auto &BB : F.blocks()) {
       std::unordered_map<const Value *, Value *> Known;
       for (size_t I = 0; I < BB->size(); ++I) {
@@ -584,7 +582,7 @@ public:
         if (Inst->opcode() == Opcode::Load) {
           auto It = Known.find(Inst->operand(0));
           if (It != Known.end() && It->second->type() == Inst->type()) {
-            replaceAndErase(F, *BB, I, Inst, It->second);
+            replaceAndErase(Uses, *BB, I, Inst, It->second);
             --I;
             Changed = true;
           }
@@ -603,6 +601,7 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
+    UseTable Uses(F);
     for (const auto &BB : F.blocks()) {
       std::unordered_map<const Value *, Instruction *> Loads;
       for (size_t I = 0; I < BB->size(); ++I) {
@@ -616,7 +615,7 @@ public:
           continue;
         auto It = Loads.find(Inst->operand(0));
         if (It != Loads.end() && It->second->type() == Inst->type()) {
-          replaceAndErase(F, *BB, I, Inst, It->second);
+          replaceAndErase(Uses, *BB, I, Inst, It->second);
           --I;
           Changed = true;
         } else {
@@ -683,7 +682,8 @@ private:
     Instruction *PhiI = TailBB->insert(0, std::move(Phi));
     PhiI->addIncoming(TVal, TrueBB);
     PhiI->addIncoming(FVal, FalseBB);
-    F.replaceAllUsesWith(Sel, PhiI);
+    // One replacement per run: the table is built for it alone.
+    UseTable(F).replaceAllUsesWith(Sel, PhiI);
 
     // Replace the select with the conditional branch.
     BB->erase(SelIdx);
@@ -702,6 +702,7 @@ public:
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
+    UseTable Uses(F);
     bool Changed = false;
     bool LocalChange = true;
     while (LocalChange) {
@@ -710,7 +711,7 @@ public:
         for (size_t I = 0; I < BB->firstNonPhi(); ++I) {
           Instruction *Phi = BB->instructions()[I].get();
           if (Value *V = simplifyInstruction(*Phi, M)) {
-            replaceAndErase(F, *BB, I, Phi, V);
+            replaceAndErase(Uses, *BB, I, Phi, V);
             --I;
             LocalChange = Changed = true;
           }

@@ -9,6 +9,7 @@
 
 #include "ir/CFG.h"
 #include "ir/Dominators.h"
+#include "ir/UseTable.h"
 
 #include <algorithm>
 #include <optional>
@@ -53,6 +54,7 @@ bool mergeLinearChains(Function &F) {
   if (F.numBlocks() < 2)
     return false;
   PredecessorTable Preds(F);
+  UseTable Uses(F); // Built at the first phi collapsed.
   bool Changed = false;
   // A merge changes no other block's predecessor count, so every block
   // before the merged one stays unmergeable: the scan resumes at the
@@ -75,7 +77,8 @@ bool mergeLinearChains(Function &F) {
                                                 : nullptr;
       if (!Incoming)
         break;
-      F.replaceAllUsesWith(Phi, Incoming);
+      Uses.replaceAllUsesWith(Phi, Incoming);
+      Uses.drop(Phi);
       Succ->erase(0);
     }
     // Drop BB's terminator, splice Succ's instructions into BB.

@@ -24,6 +24,7 @@
 #include "ir/Dominators.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/UseTable.h"
 #include "ir/Verifier.h"
 #include "passes/PassManager.h"
 #include "passes/Utils.h"
@@ -384,10 +385,11 @@ TEST(PassManager, UnknownPassIsNotFound) {
 /// Erases the first unused instruction without side effects in \p F;
 /// false if there is none.
 bool eraseUnusedPureInstruction(Function &F) {
+  UseTable Uses(F);
   for (const auto &BB : F.blocks()) {
     for (size_t I = 0; I < BB->size(); ++I) {
       Instruction *Inst = BB->instructions()[I].get();
-      if (Inst->isTerminator() || F.hasUses(Inst) || Inst->hasSideEffects())
+      if (Inst->isTerminator() || Uses.hasUses(Inst) || Inst->hasSideEffects())
         continue;
       BB->erase(I);
       return true;

@@ -12,6 +12,7 @@
 #include "datasets/CsmithGenerator.h"
 #include "datasets/CuratedSuites.h"
 #include "ir/Parser.h"
+#include "ir/UseTable.h"
 #include "passes/PassManager.h"
 #include "telemetry/MetricsRegistry.h"
 
@@ -290,10 +291,11 @@ namespace {
 /// it has one, otherwise inserts a dead add before the entry terminator.
 /// Returns false only for functions with no entry block.
 bool mutateOneFunction(Module &M, Function &F) {
+  UseTable Uses(F);
   for (const auto &BB : F.blocks()) {
     for (size_t I = 0; I < BB->size(); ++I) {
       Instruction *Inst = BB->instructions()[I].get();
-      if (Inst->isTerminator() || F.hasUses(Inst) || Inst->hasSideEffects())
+      if (Inst->isTerminator() || Uses.hasUses(Inst) || Inst->hasSideEffects())
         continue;
       BB->erase(I);
       return true;

@@ -13,6 +13,7 @@
 #include "ir/IRBuilder.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "ir/UseTable.h"
 #include "ir/Verifier.h"
 #include "passes/PassManager.h"
 #include "util/Rng.h"
@@ -191,14 +192,16 @@ TEST(StateHash, HexRoundTrip) {
   EXPECT_NE(M->hash().hex(), H.hex());
 }
 
-TEST(Function, ReplaceAllUsesWith) {
+TEST(UseTable, ReplaceAllUsesWith) {
   auto M = buildDiamond();
   Function *F = M->findFunction("main");
   Argument *N = F->arg(0);
   Constant *Seven = M->getConstInt(Type::I64, 7);
-  size_t Rewritten = F->replaceAllUsesWith(N, Seven);
+  UseTable Uses(*F);
+  size_t Rewritten = Uses.replaceAllUsesWith(N, Seven);
   EXPECT_EQ(Rewritten, 3u); // icmp, mul, add.
-  EXPECT_FALSE(F->hasUses(N));
+  EXPECT_FALSE(Uses.hasUses(N));
+  EXPECT_FALSE(UseTable(*F).hasUses(N));
 }
 
 TEST(Function, UseCounts) {
@@ -240,6 +243,174 @@ TEST(PredecessorTable, PatchesKeepBlockOrder) {
   BasicBlock *Late = F->createBlock("late");
   EXPECT_EQ(Preds.index(Late), PredecessorTable::npos);
   EXPECT_TRUE(Preds[Late].empty());
+}
+
+// -- UseTable ------------------------------------------------------------------
+
+/// Each argument's and instruction's users, found by scanning every operand
+/// of \p F: the whole-function scan replace-all-uses made per value before
+/// UseTable. Users are in block order, each once per value.
+std::unordered_map<const Value *, std::vector<Instruction *>>
+scanUsers(const Function &F) {
+  std::unordered_map<const Value *, std::vector<Instruction *>> Users;
+  for (const auto &BB : F.blocks()) {
+    for (const auto &I : BB->instructions()) {
+      std::vector<const Value *> Ops(I->operands().begin(),
+                                     I->operands().end());
+      std::sort(Ops.begin(), Ops.end());
+      Ops.erase(std::unique(Ops.begin(), Ops.end()), Ops.end());
+      for (const Value *Op : Ops)
+        if (isa<Instruction>(Op) || isa<Argument>(Op))
+          Users[Op].push_back(I.get());
+    }
+  }
+  return Users;
+}
+
+/// Checks \p Uses against a scan of \p F for every argument and
+/// instruction: in block order if \p Ordered (a table as built), else as
+/// sets (a table patched since its build lists later users last).
+void expectUsesMatchScan(Function &F, UseTable &Uses, bool Ordered,
+                         const std::string &Where) {
+  SCOPED_TRACE(Where + " @" + F.name());
+  auto Ref = scanUsers(F);
+  auto check = [&](const Value *V) {
+    std::vector<Instruction *> Got = Uses.users(V);
+    std::vector<Instruction *> Want = Ref[V];
+    if (!Ordered) {
+      std::sort(Got.begin(), Got.end());
+      std::sort(Want.begin(), Want.end());
+    }
+    ASSERT_EQ(Got, Want) << "users of %" << V->name();
+  };
+  for (size_t A = 0; A < F.numArgs(); ++A) {
+    check(F.arg(A));
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions()) {
+      check(I.get());
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+}
+
+constexpr const char *UseCases = R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %sq = mul i64 i64 %n, i64 %n
+  %k = add i64 i64 %n, i64 1
+  br label %loop
+loop:
+  %i = phi i64 [ 0, %entry ], [ %inext, %loop ]
+  %inext = add i64 i64 %i, i64 %k
+  %c = icmp i1 lt i64 %inext, i64 %sq
+  condbr i1 %c, label %loop, label %exit
+exit:
+  %r = add i64 i64 %inext, i64 %sq
+  ret i64 %r
+}
+)";
+
+/// The instruction named \p Name in \p F.
+Instruction *inst(const Function &F, const std::string &Name) {
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      if (I->name() == Name)
+        return I.get();
+  ADD_FAILURE() << "no %" << Name;
+  return nullptr;
+}
+
+using Insts = std::vector<Instruction *>;
+
+TEST(UseTable, ValueUsedTwiceByOneInstruction) {
+  auto M = parseModule(UseCases).takeValue();
+  Function &F = *M->findFunction("main");
+  Instruction *Sq = inst(F, "sq"), *K = inst(F, "k");
+  UseTable Uses(F);
+  expectUsesMatchScan(F, Uses, /*Ordered=*/true, "as built");
+  EXPECT_EQ(Uses.users(F.arg(0)), (Insts{Sq, K})); // %sq once.
+  EXPECT_EQ(Uses.replaceAllUsesWith(F.arg(0), M->getConstInt(Type::I64, 7)),
+            3u);
+  EXPECT_EQ(Sq->operand(0), Sq->operand(1));
+  EXPECT_FALSE(Uses.hasUses(F.arg(0)));
+  expectUsesMatchScan(F, Uses, /*Ordered=*/true, "after replacement");
+}
+
+TEST(UseTable, LoopPhiUsesValueAcrossBackEdge) {
+  auto M = parseModule(UseCases).takeValue();
+  Function &F = *M->findFunction("main");
+  Instruction *I = inst(F, "i"), *INext = inst(F, "inext");
+  UseTable Uses(F);
+  // The phi precedes the definition it reads over the back edge.
+  EXPECT_EQ(Uses.users(INext), (Insts{I, inst(F, "c"), inst(F, "r")}));
+  EXPECT_EQ(Uses.users(I), (Insts{INext}));
+  // Replacing the phi rewrites its user, and the phi's own incoming stays.
+  EXPECT_EQ(Uses.replaceAllUsesWith(I, inst(F, "k")), 1u);
+  EXPECT_EQ(INext->operand(0), inst(F, "k"));
+  EXPECT_EQ(I->incomingValue(1), INext);
+  expectUsesMatchScan(F, Uses, /*Ordered=*/false, "after replacement");
+}
+
+TEST(UseTable, ReplacementOntoValueWithUsers) {
+  auto M = parseModule(UseCases).takeValue();
+  Function &F = *M->findFunction("main");
+  Instruction *Sq = inst(F, "sq"), *K = inst(F, "k"), *I = inst(F, "i"),
+              *INext = inst(F, "inext"), *C = inst(F, "c"),
+              *R = inst(F, "r");
+  UseTable Uses(F);
+  ASSERT_EQ(Uses.users(Sq), (Insts{C, R}));
+  EXPECT_EQ(Uses.replaceAllUsesWith(K, Sq), 1u);
+  EXPECT_EQ(Uses.users(Sq), (Insts{C, R, INext})); // Moved users go last.
+  EXPECT_FALSE(Uses.hasUses(K));
+  // %c and %r already use %sq: each stays listed once.
+  EXPECT_EQ(Uses.replaceAllUsesWith(INext, Sq), 3u);
+  EXPECT_EQ(Uses.users(Sq), (Insts{C, R, INext, I}));
+  EXPECT_EQ(C->operand(0), Sq);
+  EXPECT_EQ(R->operand(0), Sq);
+  expectUsesMatchScan(F, Uses, /*Ordered=*/false, "after replacements");
+}
+
+TEST(UseTable, ReplacementThenErase) {
+  auto M = parseModule(UseCases).takeValue();
+  Function &F = *M->findFunction("main");
+  Argument *N = F.arg(0);
+  Instruction *Sq = inst(F, "sq"), *K = inst(F, "k"),
+              *INext = inst(F, "inext");
+  UseTable Uses(F);
+  EXPECT_EQ(Uses.replaceAllUsesWith(K, N), 1u);
+  EXPECT_EQ(Uses.users(N), (Insts{Sq, K, INext}));
+  BasicBlock *Entry = F.entry();
+  Uses.drop(K);
+  Entry->erase(Entry->indexOf(K));
+  EXPECT_EQ(Uses.users(N), (Insts{Sq, INext}));
+  expectUsesMatchScan(F, Uses, /*Ordered=*/true, "after erase");
+}
+
+TEST(UseTable, UserInsertedAfterBuild) {
+  auto M = parseModule(UseCases).takeValue();
+  Function &F = *M->findFunction("main");
+  Argument *N = F.arg(0);
+  Instruction *Sq = inst(F, "sq"), *K = inst(F, "k"),
+              *INext = inst(F, "inext"), *R = inst(F, "r");
+  UseTable Uses(F);
+  ASSERT_EQ(Uses.users(K), (Insts{INext}));
+  BasicBlock *Exit = R->parent();
+  Instruction *Extra = Exit->insert(
+      0, std::make_unique<Instruction>(Opcode::Add, Type::I64,
+                                       std::vector<Value *>{K, N}));
+  Uses.add(Extra);
+  EXPECT_EQ(Uses.users(K), (Insts{INext, Extra}));
+  EXPECT_EQ(Uses.users(N), (Insts{Sq, K, Extra}));
+  EXPECT_EQ(Uses.replaceAllUsesWith(K, Sq), 2u);
+  EXPECT_EQ(Extra->operand(0), Sq);
+  // One operand rewritten in place moves its user between two lists.
+  Uses.setOperand(*R, 0, N);
+  EXPECT_EQ(Uses.users(N), (Insts{Sq, K, Extra, R}));
+  EXPECT_EQ(Uses.users(INext), (Insts{inst(F, "i"), inst(F, "c")}));
+  expectUsesMatchScan(F, Uses, /*Ordered=*/false, "after edits");
 }
 
 // -- Printer / parser ---------------------------------------------------------
@@ -728,12 +899,16 @@ TEST(DominatorOracle, HandBuiltCfgs) {
   EXPECT_EQ(DT.reversePostorder(), Ref.Rpo);
 }
 
-TEST(DominatorOracle, CorpusAsParsedAndAfterRandomActions) {
+/// The oracle corpus: every cbench-v1 and chstone-v0 program, and
+/// programs 0-15 of csmith-v0, llvm-stress-v0 and poj104-v1.
+std::vector<std::string> oracleCorpus() {
   std::vector<std::string> Uris;
   for (const char *Curated : {"benchmark://cbench-v1", "benchmark://chstone-v0"}) {
     const datasets::Dataset *D =
         datasets::DatasetRegistry::instance().dataset(Curated);
-    ASSERT_NE(D, nullptr) << Curated;
+    EXPECT_NE(D, nullptr) << Curated;
+    if (!D)
+      continue;
     for (const std::string &Name : D->benchmarkNames(D->size()))
       Uris.push_back(std::string(Curated) + "/" + Name);
   }
@@ -742,17 +917,29 @@ TEST(DominatorOracle, CorpusAsParsedAndAfterRandomActions) {
                                 "benchmark://poj104-v1"})
     for (int I = 0; I < 16; ++I)
       Uris.push_back(std::string(Generated) + "/" + std::to_string(I));
+  return Uris;
+}
 
+/// Parses \p Uri.
+std::unique_ptr<Module> parseBenchmark(const std::string &Uri) {
+  auto B = datasets::DatasetRegistry::instance().resolve(Uri);
+  EXPECT_TRUE(B.isOk()) << Uri;
+  if (!B.isOk())
+    return nullptr;
+  auto Parsed = parseModule(B->IrText);
+  EXPECT_TRUE(Parsed.isOk()) << Uri;
+  return Parsed.isOk() ? Parsed.takeValue() : nullptr;
+}
+
+TEST(DominatorOracle, CorpusAsParsedAndAfterRandomActions) {
+  const std::vector<std::string> Uris = oracleCorpus();
   const std::vector<std::string> &Actions =
       passes::PassRegistry::instance().defaultActionNames();
   constexpr int EpisodeLength = 6;
   Rng Gen(0xD0D0);
   for (const std::string &Uri : Uris) {
-    auto B = datasets::DatasetRegistry::instance().resolve(Uri);
-    ASSERT_TRUE(B.isOk()) << Uri;
-    auto Parsed = parseModule(B->IrText);
-    ASSERT_TRUE(Parsed.isOk()) << Uri;
-    std::unique_ptr<Module> M = Parsed.takeValue();
+    std::unique_ptr<Module> M = parseBenchmark(Uri);
+    ASSERT_NE(M, nullptr) << Uri;
     expectModuleMatchesReference(*M, Uri + " as parsed");
     if (HasFatalFailure())
       return;
@@ -770,6 +957,37 @@ TEST(DominatorOracle, CorpusAsParsedAndAfterRandomActions) {
       ASSERT_TRUE(PM.run(Action).isOk()) << Uri << " " << Action;
       expectModuleMatchesReference(*M, Uri + " after " + Action,
                                    &PM.analysisManager());
+      if (HasFatalFailure())
+        return;
+    }
+  }
+}
+
+TEST(UseTableOracle, CorpusAsParsedAndAfterRandomActions) {
+  const std::vector<std::string> &Actions =
+      passes::PassRegistry::instance().defaultActionNames();
+  constexpr int EpisodeLength = 6;
+  Rng Gen(0x05E5);
+  auto expectModule = [](Module &M, const std::string &Where) {
+    for (const auto &F : M.functions()) {
+      UseTable Uses(*F);
+      expectUsesMatchScan(*F, Uses, /*Ordered=*/true, Where);
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+  };
+  for (const std::string &Uri : oracleCorpus()) {
+    std::unique_ptr<Module> M = parseBenchmark(Uri);
+    ASSERT_NE(M, nullptr) << Uri;
+    expectModule(*M, Uri + " as parsed");
+    if (HasFatalFailure())
+      return;
+    passes::PassManager PM(*M);
+    PM.setVerifyPreservation(false);
+    for (int Step = 0; Step < EpisodeLength; ++Step) {
+      const std::string &Action = Actions[Gen.bounded(Actions.size())];
+      ASSERT_TRUE(PM.run(Action).isOk()) << Uri << " " << Action;
+      expectModule(*M, Uri + " after " + Action);
       if (HasFatalFailure())
         return;
     }

@@ -197,6 +197,316 @@ entry:
   EXPECT_TRUE(HasAlloca); // Escaped: must not be promoted.
 }
 
+/// Runs mem2reg on a module whose @main takes one i64, and checks the
+/// printed @main against \p Expected and @main's result for each of \p Args
+/// against \p Results, before and after the pass.
+void expectMem2Reg(const std::string &Text, const std::string &Expected,
+                   const std::vector<int64_t> &Args,
+                   const std::vector<int64_t> &Results) {
+  auto M = parse(Text);
+  ASSERT_NE(M, nullptr);
+  auto results = [&] {
+    std::vector<int64_t> Out;
+    for (int64_t N : Args) {
+      ir::InterpreterOptions IOpts;
+      IOpts.Args = {N};
+      auto R = interpret(*M, IOpts);
+      EXPECT_TRUE(R.isOk() && R->Completed) << "n=" << N;
+      Out.push_back(R.isOk() ? R->ReturnInt : -1);
+    }
+    return Out;
+  };
+  EXPECT_EQ(results(), Results) << "before mem2reg";
+  EXPECT_TRUE(run(*M, "mem2reg"));
+  EXPECT_EQ(printFunction(*M->findFunction("main")), Expected);
+  EXPECT_EQ(results(), Results) << "after mem2reg";
+}
+
+TEST(Mem2Reg, InterleavedSlotsInOneBlock) {
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %b = alloca ptr words 1
+  store i64 %n, ptr %a
+  store i64 3, ptr %b
+  %x = load i64, ptr %a
+  %y = load i64, ptr %b
+  store i64 %y, ptr %a
+  %s = add i64 i64 %x, i64 %y
+  store i64 %s, ptr %b
+  %p = load i64, ptr %a
+  %q = load i64, ptr %b
+  %r = mul i64 i64 %p, i64 %q
+  ret i64 %r
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  %s = add i64 i64 %n, i64 3
+  %r = mul i64 i64 3, i64 %s
+  ret i64 %r
+}
+)",
+                {0, 4}, {9, 21});
+}
+
+TEST(Mem2Reg, StoredValueIsAPromotedLoad) {
+  // %a takes a load of the later slot %b, and %b a load of the earlier
+  // slot %a, so each replacement chains through the other slot's.
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %b = alloca ptr words 1
+  store i64 %n, ptr %b
+  %v = load i64, ptr %b
+  store i64 %v, ptr %a
+  %c = icmp i1 gt i64 %n, i64 5
+  condbr i1 %c, label %big, label %join
+big:
+  %u = load i64, ptr %a
+  %u2 = add i64 i64 %u, i64 1
+  store i64 %u2, ptr %a
+  %t = load i64, ptr %a
+  store i64 %t, ptr %b
+  br label %join
+join:
+  %x = load i64, ptr %a
+  %y = load i64, ptr %b
+  %r = mul i64 i64 %x, i64 %y
+  ret i64 %r
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  %c = icmp i1 gt i64 %n, i64 5
+  condbr i1 %c, label %big, label %join
+big:
+  %u2 = add i64 i64 %n, i64 1
+  br label %join
+join:
+  %t0 = phi i64 [ %n, %entry ], [ %u2, %big ]
+  %t1 = phi i64 [ %n, %entry ], [ %u2, %big ]
+  %r = mul i64 i64 %t1, i64 %t0
+  ret i64 %r
+}
+)",
+                {3, 7}, {9, 64});
+}
+
+TEST(Mem2Reg, ReadBeforeWriteYieldsZero) {
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %f = alloca ptr words 1
+  %v = load i64, ptr %a
+  %g = load f64, ptr %f
+  %gi = fptosi i64 f64 %g
+  %c = icmp i1 gt i64 %n, i64 0
+  condbr i1 %c, label %set, label %done
+set:
+  store i64 %n, ptr %a
+  br label %done
+done:
+  %w = load i64, ptr %a
+  %vw = add i64 i64 %v, i64 %w
+  %r = add i64 i64 %vw, i64 %gi
+  ret i64 %r
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  %gi = fptosi i64 f64 0.0
+  %c = icmp i1 gt i64 %n, i64 0
+  condbr i1 %c, label %set, label %done
+set:
+  br label %done
+done:
+  %t0 = phi i64 [ 0, %entry ], [ %n, %set ]
+  %vw = add i64 i64 0, i64 %t0
+  %r = add i64 i64 %vw, i64 %gi
+  ret i64 %r
+}
+)",
+                {-2, 5}, {0, 5});
+}
+
+TEST(Mem2Reg, LoopHeaderPhisForThreeSlots) {
+  // The header gets one phi per slot, the last slot's first.
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %i = alloca ptr words 1
+  %s = alloca ptr words 1
+  %p = alloca ptr words 1
+  store i64 0, ptr %i
+  store i64 0, ptr %s
+  store i64 1, ptr %p
+  br label %loop
+loop:
+  %iv = load i64, ptr %i
+  %sv = load i64, ptr %s
+  %pv = load i64, ptr %p
+  %s2 = add i64 i64 %sv, i64 %iv
+  store i64 %s2, ptr %s
+  %p2 = mul i64 i64 %pv, i64 2
+  store i64 %p2, ptr %p
+  %i2 = add i64 i64 %iv, i64 1
+  store i64 %i2, ptr %i
+  %c = icmp i1 lt i64 %i2, i64 %n
+  condbr i1 %c, label %loop, label %exit
+exit:
+  %sf = load i64, ptr %s
+  %pf = load i64, ptr %p
+  %r = add i64 i64 %sf, i64 %pf
+  ret i64 %r
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  br label %loop
+loop:
+  %t0 = phi i64 [ 1, %entry ], [ %p2, %loop ]
+  %t1 = phi i64 [ 0, %entry ], [ %s2, %loop ]
+  %t2 = phi i64 [ 0, %entry ], [ %i2, %loop ]
+  %s2 = add i64 i64 %t1, i64 %t2
+  %p2 = mul i64 i64 %t0, i64 2
+  %i2 = add i64 i64 %t2, i64 1
+  %c = icmp i1 lt i64 %i2, i64 %n
+  condbr i1 %c, label %loop, label %exit
+exit:
+  %r = add i64 i64 %s2, i64 %p2
+  ret i64 %r
+}
+)",
+                {1, 4}, {2, 22});
+}
+
+TEST(Mem2Reg, StoreOnlySlotIsDropped) {
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %dead = alloca ptr words 1
+  store i64 %n, ptr %a
+  store i64 5, ptr %dead
+  %v = load i64, ptr %a
+  store i64 %v, ptr %dead
+  ret i64 %v
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  ret i64 %n
+}
+)",
+                {7}, {7});
+}
+
+TEST(Mem2Reg, EscapingSlotsStayInMemory) {
+  // %a escapes as a stored value and %big spans two words; only %b is
+  // promoted.
+  expectMem2Reg(R"(module "t"
+global @g = words 1
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %b = alloca ptr words 1
+  %big = alloca ptr words 2
+  store i64 %n, ptr %a
+  store ptr %a, ptr @g
+  %pa = load ptr, ptr @g
+  %v = load i64, ptr %pa
+  store i64 %v, ptr %b
+  %bv = load i64, ptr %b
+  store i64 %bv, ptr %big
+  %w = load i64, ptr %big
+  %r = add i64 i64 %bv, i64 %w
+  ret i64 %r
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %big = alloca ptr words 2
+  store i64 %n, ptr %a
+  store ptr %a, ptr @g
+  %pa = load ptr ptr @g
+  %v = load i64 ptr %pa
+  store i64 %v, ptr %big
+  %w = load i64 ptr %big
+  %r = add i64 i64 %v, i64 %w
+  ret i64 %r
+}
+)",
+                {6}, {12});
+}
+
+TEST(Mem2Reg, PointerSlotIsPromoted) {
+  // A slot written before every read needs no zero constant, which
+  // getConstInt() could not make for a pointer.
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  %b = alloca ptr words 1
+  store i64 %n, ptr %a
+  store ptr %a, ptr %b
+  %pa = load ptr, ptr %b
+  %v = load i64, ptr %pa
+  ret i64 %v
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  store i64 %n, ptr %a
+  %v = load i64 ptr %a
+  ret i64 %v
+}
+)",
+                {5}, {5});
+}
+
+TEST(Mem2Reg, CondBrNamingOneBlockTwice) {
+  // The entry reaches %loop over one edge, so its phi has one entry
+  // incoming.
+  expectMem2Reg(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %a = alloca ptr words 1
+  store i64 %n, ptr %a
+  %c = icmp i1 gt i64 %n, i64 0
+  condbr i1 %c, label %loop, label %loop
+loop:
+  %v = load i64, ptr %a
+  %v2 = add i64 i64 %v, i64 1
+  store i64 %v2, ptr %a
+  %c2 = icmp i1 lt i64 %v2, i64 10
+  condbr i1 %c2, label %loop, label %exit
+exit:
+  %r = load i64, ptr %a
+  ret i64 %r
+}
+)",
+                R"(func @main(i64 %n) -> i64 {
+entry:
+  %c = icmp i1 gt i64 %n, i64 0
+  condbr i1 %c, label %loop, label %loop
+loop:
+  %t0 = phi i64 [ %n, %entry ], [ %v2, %loop ]
+  %v2 = add i64 i64 %t0, i64 1
+  %c2 = icmp i1 lt i64 %v2, i64 10
+  condbr i1 %c2, label %loop, label %exit
+exit:
+  ret i64 %v2
+}
+)",
+                {3, 12}, {10, 13});
+}
+
 TEST(Passes, SccpFoldsConstantBranches) {
   auto M = parse(R"(module "t"
 func @main() -> i64 {
