@@ -12,7 +12,11 @@
 // except gvn-sink (it orders blocks by pointer, so two runs of one build
 // disagree); every -O level; mem2reg followed by each of those passes; and
 // a 12-action sequence drawn from the action space with a seed derived from
-// the URI, digested after every step. The programs: every cbench-v1 and
+// the URI, digested after every step. Every pass also runs on a share() of
+// the parse and of the mem2reg result, each kept alive ("share,<pass>" and
+// "mem2reg,share,<pass>"): all functions start shared, as after a reset or
+// a fork, which is the path where a pass skips the functions its
+// mayChange() rules out. The programs: every cbench-v1 and
 // chstone-v0 benchmark, and programs 0-15 of csmith-v0, llvm-stress-v0 and
 // poj104-v1.
 //
@@ -90,6 +94,11 @@ int main() {
       auto M = parse();
       emit(Uri, Pass, passes::runPass(*M, Pass).status(), *M);
     }
+    auto Parsed = parse();
+    for (const std::string &Pass : Passes) {
+      auto M = Parsed->share();
+      emit(Uri, "share," + Pass, passes::runPass(*M, Pass).status(), *M);
+    }
     for (const std::string &Level : passes::optimizationLevels()) {
       auto M = parse();
       emit(Uri, Level, passes::runOptimizationLevel(*M, Level), *M);
@@ -101,6 +110,9 @@ int main() {
       for (const std::string &Pass : Passes) {
         auto M = Promoted->clone();
         emit(Uri, "mem2reg," + Pass, passes::runPass(*M, Pass).status(), *M);
+        M = Promoted->share();
+        emit(Uri, "mem2reg,share," + Pass, passes::runPass(*M, Pass).status(),
+             *M);
       }
     }
     auto M = parse();

@@ -143,10 +143,20 @@ readTsv(const std::string &Path) {
 
 TransitionDatabase::TransitionDatabase(std::string Directory)
     : Dir(std::move(Directory)) {
-  // The directory must exist before the writer thread opens its streams.
+  // Both tables exist when the constructor returns: the writer thread
+  // creates no file after it, so a caller may remove the directory as soon
+  // as the database is gone.
   std::error_code Ec;
   std::filesystem::create_directories(Dir, Ec);
-  Writer = std::thread([this] { writerLoop(); });
+  std::ofstream Steps(Dir + "/steps.tsv", std::ios::app);
+  std::ofstream Obs(Dir + "/observations.tsv", std::ios::app);
+  if (!Steps || !Obs)
+    WriterStatus = internalError("cannot open the transition database "
+                                 "tables in '" + Dir + "'");
+  Writer = std::thread(
+      [this, Steps = std::move(Steps), Obs = std::move(Obs)]() mutable {
+        writerLoop(Steps, Obs);
+      });
 }
 
 TransitionDatabase::~TransitionDatabase() {
@@ -183,9 +193,8 @@ void TransitionDatabase::appendObservation(ObservationsRow Row) {
   Ready.notify_one();
 }
 
-void TransitionDatabase::writerLoop() {
-  std::ofstream Steps(Dir + "/steps.tsv", std::ios::app);
-  std::ofstream Obs(Dir + "/observations.tsv", std::ios::app);
+void TransitionDatabase::writerLoop(std::ofstream &Steps,
+                                    std::ofstream &Obs) {
   for (;;) {
     std::deque<std::string> StepBatch, ObsBatch;
     {
@@ -210,7 +219,7 @@ void TransitionDatabase::writerLoop() {
         WriterIdle = true;
         Idle.notify_all();
       }
-      if (!Steps || !Obs)
+      if ((!Steps || !Obs) && WriterStatus.isOk())
         WriterStatus = internalError("transition database write failed");
     }
   }

@@ -28,6 +28,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -86,7 +87,8 @@ public:
   StatusOr<std::vector<TransitionsRow>> readTransitions() const;
 
 private:
-  void writerLoop();
+  /// Drains the queues into the tables the constructor opened.
+  void writerLoop(std::ofstream &Steps, std::ofstream &Obs);
 
   std::string Dir;
   std::mutex Mutex;

@@ -121,6 +121,8 @@ void cloneFunctionBody(
     const Function &Src, Function &Dst,
     std::unordered_map<const Value *, Value *> &Map,
     const std::function<Value *(const Value *)> &RemapPooled) {
+  Map.reserve(Map.size() + Src.numArgs() + Src.numBlocks() +
+              Src.instructionCount());
   for (size_t I = 0; I < Src.numArgs(); ++I) {
     Argument *A = Src.arg(I);
     Map[A] = Dst.addArgument(A->type(), A->name());
@@ -145,6 +147,7 @@ void cloneFunctionBody(
     for (size_t Idx = 0; Idx < BB->size(); ++Idx) {
       const Instruction *OldI = BB->instructions()[Idx].get();
       Instruction *NewI = NewBB->instructions()[Idx].get();
+      NewI->operands().reserve(OldI->numOperands());
       for (const Value *Op : OldI->operands()) {
         auto It = Map.find(Op);
         if (It != Map.end()) {

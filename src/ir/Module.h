@@ -15,8 +15,10 @@
 ///    pointer copies, which backs the O(1) environment fork() operator.
 ///
 /// A shared function payload is immutable by contract: mutation goes
-/// through the pass layer, which calls unshareFunction() (copy-on-write)
-/// before handing a function to a transform, and keeps the copy. Until the
+/// through the pass layer, which first asks the pass whether it may change
+/// the function (FunctionPass::mayChange) and leaves the slot shared if
+/// not. Otherwise it calls unshareFunction() (copy-on-write) before
+/// handing the function to the transform, and keeps the copy. Until the
 /// copy changes, its slot keeps the original as a frozen twin, which
 /// freeze() hands to the crash-recovery snapshot store in its place.
 /// Cross-function call operands are name-based (FunctionRef stores the

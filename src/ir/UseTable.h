@@ -38,7 +38,7 @@ namespace ir {
 /// to be erased. Code that erases whole blocks starts a new table instead.
 class UseTable {
 public:
-  explicit UseTable(Function &F) : F(&F) {}
+  explicit UseTable(const Function &F) : F(&F) {}
 
   /// The instructions that use \p V, an argument or instruction.
   const std::vector<Instruction *> &users(const Value *V);
@@ -66,7 +66,7 @@ private:
   void build();
   void unlink(const Value *V, const Instruction *User);
 
-  Function *F;
+  const Function *F;
   bool Built = false;
   std::unordered_map<const Value *, std::vector<Instruction *>> Users;
 };

@@ -204,8 +204,9 @@ public:
   /// Warms this manager from \p O after an environment fork: the
   /// observation artifacts of every entry and the module-level
   /// observations are copied. CFG analyses are not: every payload of the
-  /// forked module is shared, so the first pass to touch a function copies
-  /// it and would drop the parent's trees unread.
+  /// forked module is shared, so the first pass that may change a function
+  /// copies it and drops the trees cached on the payload, and a
+  /// FunctionPass::mayChange() that reads a tree builds it on first use.
   void adoptFrom(const AnalysisManager &O);
 
   /// True if \p F currently has a cached result of \p Kind (test hook).

@@ -16,6 +16,27 @@ using namespace compiler_gym::ir;
 
 namespace {
 
+/// The blocks of \p F that end in a return.
+std::vector<BasicBlock *> returnBlocks(const Function &F) {
+  std::vector<BasicBlock *> RetBlocks;
+  for (const auto &BB : F.blocks()) {
+    Instruction *Term = BB->terminator();
+    if (Term && Term->opcode() == Opcode::Ret)
+      RetBlocks.push_back(BB.get());
+  }
+  return RetBlocks;
+}
+
+/// Every phi of \p F, in block order.
+std::vector<Instruction *> collectPhis(const Function &F) {
+  std::vector<Instruction *> Phis;
+  F.forEachInstruction([&](BasicBlock &, Instruction &I) {
+    if (I.opcode() == Opcode::Phi)
+      Phis.push_back(&I);
+  });
+  return Phis;
+}
+
 /// Removes pure instructions with no uses, iterating to a fixpoint.
 class DcePass : public FunctionPass {
 public:
@@ -162,13 +183,12 @@ class MergeReturnPass : public FunctionPass {
 public:
   std::string name() const override { return "mergereturn"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return returnBlocks(F).size() >= 2;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
-    std::vector<BasicBlock *> RetBlocks;
-    for (const auto &BB : F.blocks()) {
-      Instruction *Term = BB->terminator();
-      if (Term && Term->opcode() == Opcode::Ret)
-        RetBlocks.push_back(BB.get());
-    }
+    std::vector<BasicBlock *> RetBlocks = returnBlocks(F);
     if (RetBlocks.size() < 2)
       return PassResult::make(false, PreservedAnalyses::all());
 
@@ -201,6 +221,10 @@ class UnreachableBlockElimPass : public FunctionPass {
 public:
   std::string name() const override { return "unreachable-elim"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return hasUnreachableBlocks(F);
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     // Unreachable blocks are invisible to both CFG analyses: the CHK
     // walk never reaches them (no Rpo/Idom entries) and natural loops
@@ -219,13 +243,13 @@ class Reg2MemPass : public FunctionPass {
 public:
   std::string name() const override { return "reg2mem"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return !collectPhis(F).empty();
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     // Collect phis first; we mutate blocks while demoting.
-    std::vector<Instruction *> Phis;
-    F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      if (I.opcode() == Opcode::Phi)
-        Phis.push_back(&I);
-    });
+    std::vector<Instruction *> Phis = collectPhis(F);
     if (Phis.empty())
       return PassResult::make(false, PreservedAnalyses::all());
 

@@ -52,6 +52,7 @@ public:
         Caller = M.functions()[Idx].get();
         AM.cowDetached(Old, Caller);
         Sites = inlinableSites(M, *Caller);
+        countCowCopy(CowOutcome::Changed);
       }
       UseTable Uses(*Caller); // Built at the first call value replaced.
       for (Instruction *Call : Sites) {

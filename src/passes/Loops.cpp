@@ -20,6 +20,7 @@
 #include "ir/UseTable.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -50,10 +51,34 @@ BasicBlock *findPreheader(const NaturalLoop &Loop,
   return Candidate;
 }
 
+/// True if loop-simplify inserts a preheader for \p Loop: it has none,
+/// its header is not the entry (nothing can go before the entry), and the
+/// header has a predecessor outside the loop.
+bool needsPreheader(const Function &F, const NaturalLoop &Loop,
+                    const PredecessorTable &Preds) {
+  if (Loop.Header == F.entry() || findPreheader(Loop, Preds))
+    return false;
+  for (BasicBlock *Pred : Preds[Loop.Header])
+    if (!Loop.contains(Pred))
+      return true;
+  return false; // Unreachable loop; nothing to do.
+}
+
 /// Creates preheaders for loops that lack one.
 class LoopSimplifyPass : public FunctionPass {
 public:
   std::string name() const override { return "loop-simplify"; }
+
+  bool mayChange(Module &, const Function &F, AnalysisManager &AM) override {
+    const std::vector<NaturalLoop> &Loops = AM.loops(F);
+    if (Loops.empty())
+      return false;
+    PredecessorTable Preds(F);
+    for (const NaturalLoop &Loop : Loops)
+      if (needsPreheader(F, Loop, Preds))
+        return true;
+    return false;
+  }
 
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     bool Changed = false;
@@ -65,17 +90,14 @@ public:
         break;
       PredecessorTable Preds(F);
       for (const NaturalLoop &Loop : Loops) {
-        if (findPreheader(Loop, Preds))
+        if (!needsPreheader(F, Loop, Preds))
           continue;
-        if (Loop.Header == F.entry())
-          continue; // Entry cannot have a preheader inserted before it.
-        if (insertPreheader(F, Loop, Preds)) {
-          // CFG changed: Loops is now stale — drop it and break out so the
-          // next round re-discovers from fresh analyses.
-          AM.invalidate(F, PreservedAnalyses::none());
-          LocalChange = Changed = true;
-          break;
-        }
+        insertPreheader(F, Loop, Preds);
+        // CFG changed: Loops is now stale — drop it and break out so the
+        // next round re-discovers from fresh analyses.
+        AM.invalidate(F, PreservedAnalyses::none());
+        LocalChange = Changed = true;
+        break;
       }
     }
     // invalidate(F, none()) already ran at every CFG edit and the final
@@ -85,15 +107,13 @@ public:
   }
 
 private:
-  static bool insertPreheader(Function &F, const NaturalLoop &Loop,
+  static void insertPreheader(Function &F, const NaturalLoop &Loop,
                               const PredecessorTable &Preds) {
     BasicBlock *Header = Loop.Header;
     std::vector<BasicBlock *> OutsidePreds;
     for (BasicBlock *Pred : Preds[Header])
       if (!Loop.contains(Pred))
         OutsidePreds.push_back(Pred);
-    if (OutsidePreds.empty())
-      return false; // Unreachable loop; nothing to do.
 
     BasicBlock *PH = F.createBlock(Header->name() + ".preheader");
 
@@ -127,7 +147,6 @@ private:
     PH->append(std::move(Br));
     for (BasicBlock *Pred : OutsidePreds)
       Pred->terminator()->replaceSuccessor(Header, PH);
-    return true;
   }
 };
 
@@ -234,7 +253,19 @@ public:
     return "loop-unroll<" + std::to_string(MaxTripCount) + ">";
   }
 
+  bool mayChange(Module &M, const Function &F, AnalysisManager &AM) override {
+    const std::vector<NaturalLoop> &Loops = AM.loops(F);
+    if (Loops.empty())
+      return false;
+    PredecessorTable Preds(F);
+    for (const NaturalLoop &Loop : Loops)
+      if (plan(M, Loop, Preds))
+        return true;
+    return false;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
+    Module &M = *F.parent();
     // Unrolling registers every clone and drops every erased instruction,
     // so one table serves all rounds.
     UseTable Uses(F);
@@ -247,9 +278,8 @@ public:
         break;
       PredecessorTable Preds(F);
       for (const NaturalLoop &Loop : Loops) {
-        if (Loop.Blocks.size() != 1)
-          continue; // Only self-loop blocks (rotated form).
-        if (tryUnroll(F, Loop, Preds, Uses)) {
+        if (std::optional<UnrollPlan> P = plan(M, Loop, Preds)) {
+          unroll(F, *P, Uses);
           AM.invalidate(F, PreservedAnalyses::none());
           LocalChange = Changed = true;
           break;
@@ -262,68 +292,81 @@ public:
   }
 
 private:
-  bool tryUnroll(Function &F, const NaturalLoop &Loop,
-                 const PredecessorTable &Preds, UseTable &Uses) {
-    BasicBlock *B = Loop.Header;
-    BasicBlock *PH = findPreheader(Loop, Preds);
-    if (!PH)
-      return false;
-    Instruction *Term = B->terminator();
+  /// A loop to unroll: the self-loop block B, entered from the preheader
+  /// PH and left to Exit; each phi's preheader (Init) and latch (Next)
+  /// value; whether the true edge continues the loop; the trip count.
+  struct UnrollPlan {
+    BasicBlock *B = nullptr;
+    BasicBlock *PH = nullptr;
+    BasicBlock *Exit = nullptr;
+    std::vector<Instruction *> Phis;
+    std::unordered_map<Instruction *, Value *> Init, Next;
+    bool ContinueOnTrue = false;
+    unsigned Trip = 0;
+  };
+
+  /// How to fully unroll \p Loop: a single block with a preheader, ending
+  /// in a condbr, whose phis each take one value from the preheader and
+  /// one from the latch, and whose constant trip count is at most
+  /// MaxTripCount. Nothing otherwise. The trip-count simulation interns
+  /// the constants it folds in \p M.
+  std::optional<UnrollPlan> plan(Module &M, const NaturalLoop &Loop,
+                                 const PredecessorTable &Preds) const {
+    if (Loop.Blocks.size() != 1)
+      return std::nullopt; // Only self-loop blocks (rotated form).
+    UnrollPlan P;
+    P.B = Loop.Header;
+    P.PH = findPreheader(Loop, Preds);
+    if (!P.PH)
+      return std::nullopt;
+    Instruction *Term = P.B->terminator();
     if (!Term || Term->opcode() != Opcode::CondBr)
-      return false;
+      return std::nullopt;
     auto *TrueBB = cast<BasicBlock>(Term->operand(1));
     auto *FalseBB = cast<BasicBlock>(Term->operand(2));
     if (TrueBB == FalseBB)
-      return false;
-    BasicBlock *Exit = (TrueBB == B) ? FalseBB : TrueBB;
-    bool ContinueOnTrue = TrueBB == B;
-    if (Exit == B)
-      return false;
+      return std::nullopt;
+    P.Exit = (TrueBB == P.B) ? FalseBB : TrueBB;
+    P.ContinueOnTrue = TrueBB == P.B;
+    if (P.Exit == P.B)
+      return std::nullopt;
 
     // Collect phis: each must have exactly two incoming (PH and B).
-    std::vector<Instruction *> Phis;
-    for (size_t I = 0; I < B->firstNonPhi(); ++I)
-      Phis.push_back(B->instructions()[I].get());
-    std::unordered_map<Instruction *, Value *> Init, Next;
-    for (Instruction *Phi : Phis) {
+    for (size_t I = 0; I < P.B->firstNonPhi(); ++I)
+      P.Phis.push_back(P.B->instructions()[I].get());
+    for (Instruction *Phi : P.Phis) {
       if (Phi->numIncoming() != 2)
-        return false;
+        return std::nullopt;
       for (unsigned K = 0; K < 2; ++K) {
-        if (Phi->incomingBlock(K) == PH)
-          Init[Phi] = Phi->incomingValue(K);
-        else if (Phi->incomingBlock(K) == B)
-          Next[Phi] = Phi->incomingValue(K);
+        if (Phi->incomingBlock(K) == P.PH)
+          P.Init[Phi] = Phi->incomingValue(K);
+        else if (Phi->incomingBlock(K) == P.B)
+          P.Next[Phi] = Phi->incomingValue(K);
         else
-          return false;
+          return std::nullopt;
       }
-      if (!Init.count(Phi) || !Next.count(Phi))
-        return false;
+      if (!P.Init.count(Phi) || !P.Next.count(Phi))
+        return std::nullopt;
     }
 
     // Simulate the loop over constants to find the trip count. All phis
     // must start from constants and every instruction must fold.
     uint64_t Trip = 0;
-    if (!computeTripCount(B, Phis, Init, Next, ContinueOnTrue, Trip))
-      return false;
-    if (Trip == 0 || Trip > MaxTripCount)
-      return false;
-
-    unroll(F, B, PH, Exit, Phis, Init, Next, ContinueOnTrue,
-           static_cast<unsigned>(Trip), Uses);
-    return true;
+    if (!computeTripCount(M, P, Trip) || Trip == 0 || Trip > MaxTripCount)
+      return std::nullopt;
+    P.Trip = static_cast<unsigned>(Trip);
+    return P;
   }
 
   /// Abstractly executes the loop body with constant phi values. Returns
   /// false if anything does not fold or the loop fails to exit within
   /// MaxTripCount+1 iterations.
-  bool computeTripCount(BasicBlock *B, const std::vector<Instruction *> &Phis,
-                        std::unordered_map<Instruction *, Value *> &Init,
-                        std::unordered_map<Instruction *, Value *> &Next,
-                        bool ContinueOnTrue, uint64_t &TripOut) {
-    Module &M = *B->parent()->parent();
+  bool computeTripCount(Module &M, const UnrollPlan &P,
+                        uint64_t &TripOut) const {
+    BasicBlock *B = P.B;
     std::unordered_map<const Value *, Constant *> Env;
-    for (Instruction *Phi : Phis) {
-      auto *C = dyn_cast<Constant>(Init.at(Phi));
+    for (Instruction *Phi : P.Phis) {
+      auto *C = dyn_cast<Constant>(P.Init.at(Phi));
       if (!C)
         return false;
       Env[Phi] = C;
@@ -368,16 +411,16 @@ private:
       Constant *Cond = evalConst(Term->operand(0));
       if (!Cond)
         return false;
-      bool Continue = ContinueOnTrue ? Cond->intValue() != 0
-                                     : Cond->intValue() == 0;
+      bool Continue = P.ContinueOnTrue ? Cond->intValue() != 0
+                                       : Cond->intValue() == 0;
       if (!Continue) {
         TripOut = Iter + 1; // Body ran Iter+1 times.
         return true;
       }
       // Advance phis.
       std::unordered_map<const Value *, Constant *> NewEnv;
-      for (Instruction *Phi : Phis) {
-        Constant *C = evalConst(Next.at(Phi));
+      for (Instruction *Phi : P.Phis) {
+        Constant *C = evalConst(P.Next.at(Phi));
         if (!C)
           return false;
         NewEnv[Phi] = C;
@@ -388,15 +431,14 @@ private:
     return false; // Did not exit within the threshold.
   }
 
-  void unroll(Function &F, BasicBlock *B, BasicBlock *PH, BasicBlock *Exit,
-              const std::vector<Instruction *> &Phis,
-              std::unordered_map<Instruction *, Value *> &Init,
-              std::unordered_map<Instruction *, Value *> &Next,
-              bool ContinueOnTrue, unsigned Trip, UseTable &Uses) {
+  static void unroll(Function &F, const UnrollPlan &P, UseTable &Uses) {
+    BasicBlock *B = P.B;
+    const std::vector<Instruction *> &Phis = P.Phis;
+    const unsigned Trip = P.Trip;
     // Current SSA value for each phi, starting from the preheader inputs.
     std::unordered_map<const Value *, Value *> PhiVal;
     for (Instruction *Phi : Phis)
-      PhiVal[Phi] = Init.at(Phi);
+      PhiVal[Phi] = P.Init.at(Phi);
 
     std::vector<BasicBlock *> Copies;
     std::unordered_map<const Value *, Value *> LastMap;
@@ -423,7 +465,7 @@ private:
       // Advance the phi values through the latch edge.
       std::unordered_map<const Value *, Value *> NewPhiVal;
       for (Instruction *Phi : Phis) {
-        Value *N = Next.at(Phi);
+        Value *N = P.Next.at(Phi);
         auto It = Map.find(N);
         NewPhiVal[Phi] = It == Map.end() ? N : It->second;
       }
@@ -432,9 +474,9 @@ private:
     }
 
     // Chain the copies: PH -> copy0 -> ... -> copyN-1 -> Exit.
-    PH->terminator()->replaceSuccessor(B, Copies.front());
+    P.PH->terminator()->replaceSuccessor(B, Copies.front());
     for (unsigned Iter = 0; Iter < Trip; ++Iter) {
-      BasicBlock *To = (Iter + 1 < Trip) ? Copies[Iter + 1] : Exit;
+      BasicBlock *To = (Iter + 1 < Trip) ? Copies[Iter + 1] : P.Exit;
       auto Br = std::make_unique<Instruction>(Opcode::Br, Type::Void,
                                               std::vector<Value *>{To});
       Copies[Iter]->append(std::move(Br));
@@ -453,7 +495,7 @@ private:
       if (It != LastMap.end())
         Uses.replaceAllUsesWith(Inst, It->second);
     }
-    replacePhiIncomingBlock(*Exit, B, Copies.back());
+    replacePhiIncomingBlock(*P.Exit, B, Copies.back());
 
     // B is now unreachable; its self-edges vanish with it.
     // Remove B's instructions' references then the block.
@@ -472,6 +514,18 @@ class LoopDeletePass : public FunctionPass {
 public:
   std::string name() const override { return "loop-delete"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &AM) override {
+    const std::vector<NaturalLoop> &Loops = AM.loops(F);
+    if (Loops.empty())
+      return false;
+    PredecessorTable Preds(F);
+    UseTable Uses(F); // Built at the first loop that passes the CFG checks.
+    for (const NaturalLoop &Loop : Loops)
+      if (deletion(Loop, Preds, Uses).first)
+        return true;
+    return false;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
     bool Changed = false;
     bool LocalChange = true;
@@ -484,11 +538,15 @@ public:
       // A deletion erases whole blocks, which ends the round and the table.
       UseTable Uses(F);
       for (const NaturalLoop &Loop : Loops) {
-        if (tryDelete(F, Loop, Preds, Uses)) {
-          AM.invalidate(F, PreservedAnalyses::none());
-          LocalChange = Changed = true;
-          break;
-        }
+        auto [PH, Exit] = deletion(Loop, Preds, Uses);
+        if (!PH)
+          continue;
+        // Redirect the preheader straight to the exit and drop the loop.
+        PH->terminator()->replaceSuccessor(Loop.Header, Exit);
+        removeUnreachableBlocks(F);
+        AM.invalidate(F, PreservedAnalyses::none());
+        LocalChange = Changed = true;
+        break;
       }
     }
     // As in loop-simplify: mid-run invalidation + final-round refetch
@@ -497,16 +555,21 @@ public:
   }
 
 private:
-  static bool tryDelete(Function &F, const NaturalLoop &Loop,
-                        const PredecessorTable &Preds, UseTable &Uses) {
+  /// The preheader and exit of \p Loop when it can be deleted: it has a
+  /// preheader, no stores or calls, exactly one exit block, outside the
+  /// loop and without phis, and no value used outside. Nulls otherwise.
+  static std::pair<BasicBlock *, BasicBlock *>
+  deletion(const NaturalLoop &Loop, const PredecessorTable &Preds,
+           UseTable &Uses) {
+    const std::pair<BasicBlock *, BasicBlock *> No{nullptr, nullptr};
     BasicBlock *PH = findPreheader(Loop, Preds);
     if (!PH)
-      return false;
+      return No;
     // No side effects inside.
     for (BasicBlock *BB : Loop.Blocks)
       for (const auto &I : BB->instructions())
         if (I->opcode() == Opcode::Store || I->opcode() == Opcode::Call)
-          return false;
+          return No;
     // Exactly one exit target, outside the loop, with no phis.
     std::unordered_set<BasicBlock *> Exits;
     for (BasicBlock *BB : Loop.Blocks)
@@ -514,21 +577,17 @@ private:
         if (!Loop.contains(Succ))
           Exits.insert(Succ);
     if (Exits.size() != 1)
-      return false;
+      return No;
     BasicBlock *Exit = *Exits.begin();
     if (Exit->firstNonPhi() > 0)
-      return false;
+      return No;
     // Nothing defined inside may be used outside.
     for (BasicBlock *BB : Loop.Blocks)
       for (const auto &I : BB->instructions())
         for (const Instruction *User : Uses.users(I.get()))
           if (!Loop.contains(User->parent()))
-            return false;
-
-    // Redirect the preheader straight to the exit and drop the loop.
-    PH->terminator()->replaceSuccessor(Loop.Header, Exit);
-    removeUnreachableBlocks(F);
-    return true;
+            return No;
+    return {PH, Exit};
   }
 };
 

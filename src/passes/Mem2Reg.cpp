@@ -43,42 +43,47 @@ struct Slot {
   Value *Zero = nullptr;           ///< What a read before any write sees.
 };
 
-class Mem2RegPass : public FunctionPass {
-public:
-  std::string name() const override { return "mem2reg"; }
+/// Every alloca of a function, and each one's index in Slots.
+struct SlotTable {
+  std::vector<Slot> Slots;
+  std::unordered_map<const Instruction *, unsigned> SlotOf;
 
-  PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
-    // Unreachable code would leave phis without matching incoming edges.
-    bool CfgChanged = removeUnreachableBlocks(F);
-    if (CfgChanged)
-      AM.invalidate(F, PreservedAnalyses::none());
+  bool anyPromotable() const {
+    for (const Slot &S : Slots)
+      if (S.Promotable)
+        return true;
+    return false;
+  }
+};
 
-    // Classify every alloca in one whole-function scan (per-alloca scans
-    // would make the pass quadratic on big modules).
-    std::vector<Slot> Slots;
-    std::unordered_map<const Instruction *, unsigned> SlotOf;
-    F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      if (I.opcode() != Opcode::Alloca)
-        return;
-      SlotOf.emplace(&I, static_cast<unsigned>(Slots.size()));
-      Slots.emplace_back().Promotable = I.allocaWords() == 1;
-    });
-    if (Slots.empty())
-      return PassResult::make(CfgChanged, PreservedAnalyses::cfg());
-    PredecessorTable Preds(F);
-    F.forEachInstruction([&](BasicBlock &BB, Instruction &I) {
-      for (size_t Op = 0; Op < I.numOperands(); ++Op) {
-        auto *Def = dyn_cast<Instruction>(I.operand(Op));
+/// Classifies every alloca of \p F in one whole-function scan (per-alloca
+/// scans would make the pass quadratic on big modules). A slot is
+/// promotable when it is one word and every use loads from it or stores
+/// to it, all with one type. DefBlocks are block positions in \p F, which
+/// are the indices of a PredecessorTable built on it.
+SlotTable classifySlots(const Function &F) {
+  SlotTable T;
+  F.forEachInstruction([&](BasicBlock &, Instruction &I) {
+    if (I.opcode() != Opcode::Alloca)
+      return;
+    T.SlotOf.emplace(&I, static_cast<unsigned>(T.Slots.size()));
+    T.Slots.emplace_back().Promotable = I.allocaWords() == 1;
+  });
+  if (T.Slots.empty())
+    return T;
+  for (unsigned Idx = 0; Idx < F.numBlocks(); ++Idx) {
+    for (const auto &I : F.blocks()[Idx]->instructions()) {
+      for (size_t Op = 0; Op < I->numOperands(); ++Op) {
+        auto *Def = dyn_cast<Instruction>(I->operand(Op));
         if (!Def || Def->opcode() != Opcode::Alloca)
           continue;
-        Slot &S = Slots[SlotOf.at(Def)];
+        Slot &S = T.Slots[T.SlotOf.at(Def)];
         Type Ty = Type::Void;
-        if (I.opcode() == Opcode::Load && Op == 0) {
-          Ty = I.type();
+        if (I->opcode() == Opcode::Load && Op == 0) {
+          Ty = I->type();
           S.HasLoads = true;
-        } else if (I.opcode() == Opcode::Store && Op == 1) {
-          Ty = I.operand(0)->type();
-          unsigned Idx = Preds.index(&BB);
+        } else if (I->opcode() == Opcode::Store && Op == 1) {
+          Ty = I->operand(0)->type();
           if (S.DefBlocks.empty() || S.DefBlocks.back() != Idx)
             S.DefBlocks.push_back(Idx);
         } else {
@@ -90,7 +95,32 @@ public:
         else if (S.ValueTy != Ty)
           S.Promotable = false;
       }
-    });
+    }
+  }
+  return T;
+}
+
+class Mem2RegPass : public FunctionPass {
+public:
+  std::string name() const override { return "mem2reg"; }
+
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return hasUnreachableBlocks(F) || classifySlots(F).anyPromotable();
+  }
+
+  PassResult runOnFunction(Function &F, AnalysisManager &AM) override {
+    // Unreachable code would leave phis without matching incoming edges.
+    bool CfgChanged = removeUnreachableBlocks(F);
+    if (CfgChanged)
+      AM.invalidate(F, PreservedAnalyses::none());
+
+    SlotTable Table = classifySlots(F);
+    if (!Table.anyPromotable())
+      return PassResult::make(CfgChanged, PreservedAnalyses::cfg());
+    std::vector<Slot> &Slots = Table.Slots;
+    const std::unordered_map<const Instruction *, unsigned> &SlotOf =
+        Table.SlotOf;
+    PredecessorTable Preds(F);
     auto slotOf = [&](const Value *Ptr) -> Slot * {
       auto *Def = dyn_cast<Instruction>(Ptr);
       if (!Def || Def->opcode() != Opcode::Alloca)
@@ -98,11 +128,6 @@ public:
       Slot &S = Slots[SlotOf.at(Def)];
       return S.Promotable ? &S : nullptr;
     };
-    bool Promoted = false;
-    for (const Slot &S : Slots)
-      Promoted |= S.Promotable;
-    if (!Promoted)
-      return PassResult::make(CfgChanged, PreservedAnalyses::cfg());
 
     // Dominator-tree children and dominance frontiers (Cytron et al.), by
     // table index.

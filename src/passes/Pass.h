@@ -11,7 +11,10 @@
 /// PreservedAnalyses set so only what a transform actually clobbered is
 /// invalidated — the unit of action in the LLVM phase-ordering
 /// environment. Function passes get a convenience subclass that handles
-/// per-function invalidation.
+/// per-function invalidation and the copy-on-write of shared functions:
+/// a function shared with another module (a fork, a snapshot, the parsed
+/// benchmark) is copied only when the pass's mayChange() says the
+/// transform might change it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +69,24 @@ public:
 
   /// Applies the transform to one function.
   virtual PassResult runOnFunction(ir::Function &F, AnalysisManager &AM) = 0;
+
+  /// False only if runOnFunction(\p F) would report no change. run() asks
+  /// only for a function shared with another module, and on false neither
+  /// copies nor transforms it. Read-only and conservative (true when
+  /// unsure): it writes nothing to \p F and never calls F.parent(), which
+  /// may be another, possibly destroyed, module; constants are interned
+  /// through the session's module \p M. Analyses it asks \p AM for are
+  /// cached on the shared payload, which is immutable, so later passes
+  /// hit them. An override runs the detection code runOnFunction uses.
+  virtual bool mayChange(ir::Module &M, const ir::Function &F,
+                         AnalysisManager &AM);
 };
+
+/// What became of one shared function a pass visited, counted in
+/// cg_pass_cow_copies_total{outcome}: copied and changed, copied and left
+/// unchanged, or not copied because mayChange() said no.
+enum class CowOutcome { Changed, Unchanged, Skipped };
+void countCowCopy(CowOutcome Outcome);
 
 } // namespace passes
 } // namespace compiler_gym

@@ -22,6 +22,26 @@ telemetry::Counter &passesRunTotal() {
   return C;
 }
 
+/// After \p P ran on \p M, a non-empty function whose slot is still shared
+/// is one the pass skipped because mayChange() said no. Runs the transform
+/// on each one's counterpart in one clone of \p M, with a scratch
+/// AnalysisManager, and fails if it reports a change.
+Status verifySkippedFunctions(FunctionPass &P, const ir::Module &M) {
+  std::unique_ptr<ir::Module> Clone;
+  for (size_t Idx = 0; Idx < M.functions().size(); ++Idx) {
+    const ir::Function &F = *M.functions()[Idx];
+    if (F.empty() || !M.isFunctionShared(Idx))
+      continue;
+    if (!Clone)
+      Clone = M.clone();
+    AnalysisManager Scratch;
+    if (P.runOnFunction(*Clone->functions()[Idx], Scratch).Changed)
+      return internalError("pass '" + P.name() + "' skipped function '" +
+                           F.name() + "' (mayChange said no) but changes it");
+  }
+  return Status::ok();
+}
+
 } // namespace
 
 PassManager::PassManager(ir::Module &M)
@@ -80,6 +100,9 @@ StatusOr<bool> PassManager::run(Pass &P) {
     if (ir::printModule(*M.freeze()) != ir::printModule(M))
       return internalError("pass '" + P.name() +
                            "' changed a function but did not report it");
+    // A function the pass skipped must be one its transform leaves alone.
+    if (auto *FP = dynamic_cast<FunctionPass *>(&P); FP && !R.Cancelled)
+      CG_RETURN_IF_ERROR(verifySkippedFunctions(*FP, M));
   }
   // Cancelled mid-pass (between functions): bookkeeping above is still
   // applied for the functions that did run, then the abort surfaces so the

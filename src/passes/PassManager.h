@@ -71,9 +71,11 @@ public:
   }
 
   /// After every pass run, recompute each analysis the pass claimed to
-  /// preserve, and check that the module's freeze() prints the same as the
-  /// module; fail the run on mismatch. Defaults to on in debug (!NDEBUG)
-  /// builds; expensive, so Release builds leave it off.
+  /// preserve, check that the module's freeze() prints the same as the
+  /// module, and rerun a function pass's transform on a clone of each
+  /// shared function it skipped (FunctionPass::mayChange() said no),
+  /// expecting no change; fail the run on mismatch. Defaults to on in
+  /// debug (!NDEBUG) builds; expensive, so Release builds leave it off.
   void setVerifyPreservation(bool Enabled) { VerifyPreservation = Enabled; }
   bool verifyPreservation() const { return VerifyPreservation; }
 

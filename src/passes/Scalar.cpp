@@ -32,6 +32,15 @@ void replaceAndErase(UseTable &Uses, BasicBlock &BB, size_t Idx,
   BB.erase(Idx);
 }
 
+/// True if \p Pred holds for some instruction of \p F.
+template <typename PredT> bool anyInstruction(const Function &F, PredT Pred) {
+  for (const auto &BB : F.blocks())
+    for (const auto &I : BB->instructions())
+      if (Pred(*I))
+        return true;
+  return false;
+}
+
 /// Folds instructions whose operands are all constants.
 class ConstFoldPass : public FunctionPass {
 public:
@@ -86,6 +95,12 @@ class InstSimplifyPass : public FunctionPass {
 public:
   std::string name() const override { return "instsimplify"; }
 
+  bool mayChange(Module &M, const Function &F, AnalysisManager &) override {
+    return anyInstruction(F, [&](const Instruction &I) {
+      return simplifiable(I, M);
+    });
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
     UseTable Uses(F);
@@ -96,9 +111,7 @@ public:
       for (const auto &BB : F.blocks()) {
         for (size_t I = 0; I < BB->size(); ++I) {
           Instruction *Inst = BB->instructions()[I].get();
-          if (Inst->opcode() == Opcode::Phi)
-            continue; // PhiSimplifyPass owns phi rewrites.
-          if (Value *V = simplifyInstruction(*Inst, M)) {
+          if (Value *V = simplifiable(*Inst, M)) {
             replaceAndErase(Uses, *BB, I, Inst, V);
             --I;
             LocalChange = Changed = true;
@@ -107,6 +120,12 @@ public:
       }
     }
     return PassResult::make(Changed, PreservedAnalyses::cfg());
+  }
+
+private:
+  /// What \p I simplifies to, or null. PhiSimplifyPass owns phi rewrites.
+  static Value *simplifiable(const Instruction &I, Module &M) {
+    return I.opcode() == Opcode::Phi ? nullptr : simplifyInstruction(I, M);
   }
 };
 
@@ -242,12 +261,14 @@ class CmpCanonicalizePass : public FunctionPass {
 public:
   std::string name() const override { return "cmp-canonicalize"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return anyInstruction(F, constantOnLeft);
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
     F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      if (I.opcode() != Opcode::ICmp && I.opcode() != Opcode::FCmp)
-        return;
-      if (!isa<Constant>(I.operand(0)) || isa<Constant>(I.operand(1)))
+      if (!constantOnLeft(I))
         return;
       Value *L = I.operand(0);
       I.setOperand(0, I.operand(1));
@@ -276,6 +297,13 @@ public:
     // and operand order, and ProGraML edge positions shift.
     return PassResult::make(Changed, PreservedAnalyses::allButLayout());
   }
+
+private:
+  /// True for a comparison of a constant with a non-constant.
+  static bool constantOnLeft(const Instruction &I) {
+    return (I.opcode() == Opcode::ICmp || I.opcode() == Opcode::FCmp) &&
+           isa<Constant>(I.operand(0)) && !isa<Constant>(I.operand(1));
+  }
 };
 
 /// Collapses shift-by-constant chains: (x shl c1) shl c2 -> x shl (c1+c2).
@@ -283,31 +311,52 @@ class ShiftCombinePass : public FunctionPass {
 public:
   std::string name() const override { return "shift-combine"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return anyInstruction(F, [](const Instruction &I) {
+      return combinedShift(I) != nullptr;
+    });
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
     bool Changed = false;
     F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      if (I.opcode() != Opcode::Shl && I.opcode() != Opcode::LShr &&
-          I.opcode() != Opcode::AShr)
+      int64_t Total = 0;
+      Instruction *Inner = combinedShift(I, &Total);
+      if (!Inner)
         return;
-      auto *C2 = dyn_cast<Constant>(I.operand(1));
-      auto *Inner = dyn_cast<Instruction>(I.operand(0));
-      if (!C2 || !Inner || Inner->opcode() != I.opcode() ||
-          Inner->type() != I.type())
-        return;
-      auto *C1 = dyn_cast<Constant>(Inner->operand(1));
-      if (!C1)
-        return;
-      int64_t Total = C1->intValue() + C2->intValue();
-      int Width = integerBitWidth(I.type());
-      if (C1->intValue() < 0 || C2->intValue() < 0 || Total >= Width)
-        return; // Out-of-range shifts keep their defined modulo semantics.
       I.setOperand(0, Inner->operand(0));
       I.setOperand(1, M.getConstInt(I.type(), Total));
       Changed = true;
     });
     // Rewiring operands changes use counts (OneUseInstCount): features go.
     return PassResult::make(Changed, PreservedAnalyses::cfg());
+  }
+
+private:
+  /// The inner shift when \p I shifts it again by a constant, in range, so
+  /// both fold into one shift by *\p Total; null otherwise.
+  static Instruction *combinedShift(const Instruction &I,
+                                    int64_t *Total = nullptr) {
+    if (I.opcode() != Opcode::Shl && I.opcode() != Opcode::LShr &&
+        I.opcode() != Opcode::AShr)
+      return nullptr;
+    auto *C2 = dyn_cast<Constant>(I.operand(1));
+    auto *Inner = dyn_cast<Instruction>(I.operand(0));
+    if (!C2 || !Inner || Inner->opcode() != I.opcode() ||
+        Inner->type() != I.type())
+      return nullptr;
+    auto *C1 = dyn_cast<Constant>(Inner->operand(1));
+    if (!C1)
+      return nullptr;
+    int64_t Sum = C1->intValue() + C2->intValue();
+    int Width = integerBitWidth(I.type());
+    // Out-of-range shifts keep their defined modulo semantics.
+    if (C1->intValue() < 0 || C2->intValue() < 0 || Sum >= Width)
+      return nullptr;
+    if (Total)
+      *Total = Sum;
+    return Inner;
   }
 };
 
@@ -317,6 +366,12 @@ class StrengthReducePass : public FunctionPass {
 public:
   std::string name() const override { return "strength-reduce"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return anyInstruction(F, [](const Instruction &I) {
+      return shiftAmount(I) != 0;
+    });
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();
     UseTable Uses(F);
@@ -324,15 +379,8 @@ public:
     // invalidate an in-flight block iteration.
     std::vector<std::pair<Instruction *, int>> Rewrites;
     F.forEachInstruction([&](BasicBlock &, Instruction &I) {
-      if (I.opcode() != Opcode::Mul)
-        return;
-      auto *C = dyn_cast<Constant>(I.operand(1));
-      if (!C)
-        return;
-      int Log2 = 0;
-      if (!isPowerOfTwo(*C, Log2) || Log2 == 0)
-        return;
-      Rewrites.emplace_back(&I, Log2);
+      if (int Log2 = shiftAmount(I))
+        Rewrites.emplace_back(&I, Log2);
     });
     for (auto &[I, Log2] : Rewrites)
       rewriteToShl(*I, M, Log2, Uses);
@@ -340,6 +388,17 @@ public:
   }
 
 private:
+  /// k when \p I multiplies by the constant 2^k with k > 0, else 0.
+  static int shiftAmount(const Instruction &I) {
+    if (I.opcode() != Opcode::Mul)
+      return 0;
+    auto *C = dyn_cast<Constant>(I.operand(1));
+    int Log2 = 0;
+    if (!C || !isPowerOfTwo(*C, Log2))
+      return 0;
+    return Log2;
+  }
+
   static void rewriteToShl(Instruction &I, Module &M, int Log2,
                            UseTable &Uses) {
     // Mutate opcode via placement of a fresh instruction is not possible
@@ -422,44 +481,32 @@ class SinkPass : public FunctionPass {
 public:
   std::string name() const override { return "sink"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    std::optional<PredecessorTable> Preds;
+    UseTable Uses(F);
+    for (const auto &BB : F.blocks()) {
+      if (BB->successors().size() < 2)
+        continue;
+      for (const auto &I : BB->instructions())
+        if (sinkTarget(F, *BB, *I, Uses, Preds))
+          return true;
+    }
+    return false;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     std::optional<PredecessorTable> Preds; // Sinking moves no edge.
     // Sinking only moves instructions, so the table stays valid, and a
     // user's parent() is the block it sits in now.
     UseTable Uses(F);
     bool Changed = false;
-    // Map each instruction to its unique using block (if any).
     for (const auto &BB : F.blocks()) {
       if (BB->successors().size() < 2)
         continue; // Sinking only pays off past a branch.
       for (size_t I = BB->size(); I-- > 0;) {
-        Instruction *Inst = BB->instructions()[I].get();
-        if (!Inst->isPure())
-          continue;
-        BasicBlock *UserBlock = nullptr;
-        bool Sinkable = true;
-        for (Instruction *User : Uses.users(Inst)) {
-          if (User->opcode() == Opcode::Phi) {
-            Sinkable = false; // Phi uses live on edges; do not sink.
-            break;
-          }
-          if (!UserBlock)
-            UserBlock = User->parent();
-          else if (UserBlock != User->parent()) {
-            Sinkable = false;
-            break;
-          }
-        }
-        if (!Sinkable || !UserBlock || UserBlock == BB.get())
-          continue;
-        // Destination must be an immediate successor with a single pred so
-        // dominance is trivially preserved.
-        std::vector<BasicBlock *> Succs = BB->successors();
-        if (std::find(Succs.begin(), Succs.end(), UserBlock) == Succs.end())
-          continue;
-        if (!Preds)
-          Preds.emplace(F);
-        if ((*Preds)[UserBlock].size() != 1)
+        BasicBlock *UserBlock =
+            sinkTarget(F, *BB, *BB->instructions()[I], Uses, Preds);
+        if (!UserBlock)
           continue;
         std::unique_ptr<Instruction> Owned = BB->detach(I);
         Owned->setParent(UserBlock);
@@ -470,6 +517,36 @@ public:
     // Moving instructions across blocks keeps the CFG but shifts the
     // per-block feature counts.
     return PassResult::make(Changed, PreservedAnalyses::cfg());
+  }
+
+private:
+  /// Where the pure \p Inst of \p BB sinks to: the block holding all its
+  /// users, none of them a phi (phi uses live on edges), when that block
+  /// is a successor of BB with BB as its only predecessor, so dominance is
+  /// trivially preserved; null otherwise. \p Preds is built at the first
+  /// such successor.
+  static BasicBlock *sinkTarget(const Function &F, BasicBlock &BB,
+                                const Instruction &Inst, UseTable &Uses,
+                                std::optional<PredecessorTable> &Preds) {
+    if (!Inst.isPure())
+      return nullptr;
+    BasicBlock *UserBlock = nullptr;
+    for (Instruction *User : Uses.users(&Inst)) {
+      if (User->opcode() == Opcode::Phi)
+        return nullptr;
+      if (!UserBlock)
+        UserBlock = User->parent();
+      else if (UserBlock != User->parent())
+        return nullptr;
+    }
+    if (!UserBlock || UserBlock == &BB)
+      return nullptr;
+    std::vector<BasicBlock *> Succs = BB.successors();
+    if (std::find(Succs.begin(), Succs.end(), UserBlock) == Succs.end())
+      return nullptr;
+    if (!Preds)
+      Preds.emplace(F);
+    return (*Preds)[UserBlock].size() == 1 ? UserBlock : nullptr;
   }
 };
 
@@ -522,34 +599,47 @@ class LocalDsePass : public FunctionPass {
 public:
   std::string name() const override { return "dse-local"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    for (const auto &BB : F.blocks())
+      if (!deadStores(*BB).empty())
+        return true;
+    return false;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
     for (const auto &BB : F.blocks()) {
-      // Track last pending store per exact pointer value.
-      std::unordered_map<const Value *, size_t> Pending;
-      std::vector<size_t> Dead;
-      for (size_t I = 0; I < BB->size(); ++I) {
-        const Instruction *Inst = BB->instructions()[I].get();
-        if (Inst->opcode() == Opcode::Store) {
-          const Value *Ptr = Inst->operand(1);
-          auto It = Pending.find(Ptr);
-          if (It != Pending.end())
-            Dead.push_back(It->second);
-          Pending[Ptr] = I;
-          continue;
-        }
-        if (Inst->opcode() == Opcode::Load ||
-            Inst->opcode() == Opcode::Call) {
-          Pending.clear(); // Conservative: any load/call may observe.
-        }
-      }
-      std::sort(Dead.begin(), Dead.end());
+      std::vector<size_t> Dead = deadStores(*BB);
       for (size_t K = Dead.size(); K-- > 0;) {
         BB->erase(Dead[K]);
         Changed = true;
       }
     }
     return PassResult::make(Changed, PreservedAnalyses::cfg());
+  }
+
+private:
+  /// Indices, ascending, of the stores in \p BB that a later store to the
+  /// same pointer overwrites with no load or call between.
+  static std::vector<size_t> deadStores(const BasicBlock &BB) {
+    // Track last pending store per exact pointer value.
+    std::unordered_map<const Value *, size_t> Pending;
+    std::vector<size_t> Dead;
+    for (size_t I = 0; I < BB.size(); ++I) {
+      const Instruction *Inst = BB.instructions()[I].get();
+      if (Inst->opcode() == Opcode::Store) {
+        const Value *Ptr = Inst->operand(1);
+        auto It = Pending.find(Ptr);
+        if (It != Pending.end())
+          Dead.push_back(It->second);
+        Pending[Ptr] = I;
+        continue;
+      }
+      if (Inst->opcode() == Opcode::Load || Inst->opcode() == Opcode::Call)
+        Pending.clear(); // Conservative: any load/call may observe.
+    }
+    std::sort(Dead.begin(), Dead.end());
+    return Dead;
   }
 };
 
@@ -559,37 +649,60 @@ class StoreForwardPass : public FunctionPass {
 public:
   std::string name() const override { return "store-forward"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    for (const auto &BB : F.blocks()) {
+      StoredValues Known;
+      for (const auto &I : BB->instructions())
+        if (forwardedValue(*I, Known))
+          return true;
+    }
+    return false;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
     UseTable Uses(F);
     for (const auto &BB : F.blocks()) {
-      std::unordered_map<const Value *, Value *> Known;
+      StoredValues Known;
       for (size_t I = 0; I < BB->size(); ++I) {
         Instruction *Inst = BB->instructions()[I].get();
-        if (Inst->opcode() == Opcode::Store) {
-          // Another store to a different pointer may alias: drop all except
-          // the freshly stored one.
-          Value *Stored = Inst->operand(0);
-          const Value *Ptr = Inst->operand(1);
-          Known.clear();
-          Known[Ptr] = Stored;
-          continue;
-        }
-        if (Inst->opcode() == Opcode::Call) {
-          Known.clear();
-          continue;
-        }
-        if (Inst->opcode() == Opcode::Load) {
-          auto It = Known.find(Inst->operand(0));
-          if (It != Known.end() && It->second->type() == Inst->type()) {
-            replaceAndErase(Uses, *BB, I, Inst, It->second);
-            --I;
-            Changed = true;
-          }
+        if (Value *V = forwardedValue(*Inst, Known)) {
+          replaceAndErase(Uses, *BB, I, Inst, V);
+          --I;
+          Changed = true;
         }
       }
     }
     return PassResult::make(Changed, PreservedAnalyses::cfg());
+  }
+
+private:
+  /// Pointer -> the value a store earlier in the block left there.
+  using StoredValues = std::unordered_map<const Value *, Value *>;
+
+  /// Steps the block scan over \p Inst: returns the stored value a load
+  /// \p Inst of the same pointer and type can use instead, else updates
+  /// \p Known and returns null.
+  static Value *forwardedValue(const Instruction &Inst, StoredValues &Known) {
+    if (Inst.opcode() == Opcode::Store) {
+      // Another store to a different pointer may alias: drop all except
+      // the freshly stored one.
+      Value *Stored = Inst.operand(0);
+      const Value *Ptr = Inst.operand(1);
+      Known.clear();
+      Known[Ptr] = Stored;
+      return nullptr;
+    }
+    if (Inst.opcode() == Opcode::Call) {
+      Known.clear();
+      return nullptr;
+    }
+    if (Inst.opcode() != Opcode::Load)
+      return nullptr;
+    auto It = Known.find(Inst.operand(0));
+    return It != Known.end() && It->second->type() == Inst.type()
+               ? It->second
+               : nullptr;
   }
 };
 
@@ -599,31 +712,52 @@ class RedundantLoadElimPass : public FunctionPass {
 public:
   std::string name() const override { return "redundant-load-elim"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    for (const auto &BB : F.blocks()) {
+      EarlierLoads Loads;
+      for (const auto &I : BB->instructions())
+        if (earlierLoad(*I, Loads))
+          return true;
+    }
+    return false;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     bool Changed = false;
     UseTable Uses(F);
     for (const auto &BB : F.blocks()) {
-      std::unordered_map<const Value *, Instruction *> Loads;
+      EarlierLoads Loads;
       for (size_t I = 0; I < BB->size(); ++I) {
         Instruction *Inst = BB->instructions()[I].get();
-        if (Inst->opcode() == Opcode::Store ||
-            Inst->opcode() == Opcode::Call) {
-          Loads.clear();
-          continue;
-        }
-        if (Inst->opcode() != Opcode::Load)
-          continue;
-        auto It = Loads.find(Inst->operand(0));
-        if (It != Loads.end() && It->second->type() == Inst->type()) {
-          replaceAndErase(Uses, *BB, I, Inst, It->second);
+        if (Instruction *Earlier = earlierLoad(*Inst, Loads)) {
+          replaceAndErase(Uses, *BB, I, Inst, Earlier);
           --I;
           Changed = true;
-        } else {
-          Loads[Inst->operand(0)] = Inst;
         }
       }
     }
     return PassResult::make(Changed, PreservedAnalyses::cfg());
+  }
+
+private:
+  /// Pointer -> the load of it earlier in the block.
+  using EarlierLoads = std::unordered_map<const Value *, Instruction *>;
+
+  /// Steps the block scan over \p Inst: returns the earlier load a load
+  /// \p Inst of the same pointer and type can reuse, else updates
+  /// \p Loads and returns null.
+  static Instruction *earlierLoad(Instruction &Inst, EarlierLoads &Loads) {
+    if (Inst.opcode() == Opcode::Store || Inst.opcode() == Opcode::Call) {
+      Loads.clear();
+      return nullptr;
+    }
+    if (Inst.opcode() != Opcode::Load)
+      return nullptr;
+    auto It = Loads.find(Inst.operand(0));
+    if (It != Loads.end() && It->second->type() == Inst.type())
+      return It->second;
+    Loads[Inst.operand(0)] = &Inst;
+    return nullptr;
   }
 };
 
@@ -633,22 +767,30 @@ class LowerSelectPass : public FunctionPass {
 public:
   std::string name() const override { return "lower-select"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return firstSelect(F).first != nullptr;
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     // One select per invocation per function keeps growth bounded.
-    for (const auto &BBPtr : F.blocks()) {
-      BasicBlock *BB = BBPtr.get();
-      for (size_t I = 0; I < BB->size(); ++I) {
-        Instruction *Sel = BB->instructions()[I].get();
-        if (Sel->opcode() != Opcode::Select)
-          continue;
-        lower(F, BB, I);
-        return PassResult::make(true, PreservedAnalyses::none());
-      }
-    }
-    return PassResult::make(false, PreservedAnalyses::all());
+    auto [BB, I] = firstSelect(F);
+    if (!BB)
+      return PassResult::make(false, PreservedAnalyses::all());
+    lower(F, BB, I);
+    return PassResult::make(true, PreservedAnalyses::none());
   }
 
 private:
+  /// The block and index of the first select in \p F; a null block if
+  /// there is none.
+  static std::pair<BasicBlock *, size_t> firstSelect(const Function &F) {
+    for (const auto &BB : F.blocks())
+      for (size_t I = 0; I < BB->size(); ++I)
+        if (BB->instructions()[I]->opcode() == Opcode::Select)
+          return {BB.get(), I};
+    return {nullptr, 0};
+  }
+
   static void lower(Function &F, BasicBlock *BB, size_t SelIdx) {
     Instruction *Sel = BB->instructions()[SelIdx].get();
     Value *Cond = Sel->operand(0);
@@ -699,6 +841,14 @@ private:
 class PhiSimplifyPass : public FunctionPass {
 public:
   std::string name() const override { return "phi-simplify"; }
+
+  bool mayChange(Module &M, const Function &F, AnalysisManager &) override {
+    for (const auto &BB : F.blocks())
+      for (size_t I = 0; I < BB->firstNonPhi(); ++I)
+        if (simplifyInstruction(*BB->instructions()[I], M))
+          return true;
+    return false;
+  }
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     Module &M = *F.parent();

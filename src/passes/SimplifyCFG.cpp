@@ -48,6 +48,32 @@ bool foldBranches(Function &F, Module &M) {
   return Changed;
 }
 
+/// The block \p BB merges with: the target of its unconditional branch,
+/// when that is neither \p BB nor the entry and has \p BB as its only
+/// predecessor; null otherwise.
+BasicBlock *mergeableSuccessor(const Function &F, BasicBlock *BB,
+                               const PredecessorTable &Preds) {
+  Instruction *Term = BB->terminator();
+  auto *Succ = Term && Term->opcode() == Opcode::Br
+                   ? cast<BasicBlock>(Term->operand(0))
+                   : nullptr;
+  if (!Succ || Succ == BB || Succ == F.entry() || Preds[Succ].size() != 1 ||
+      Preds[Succ][0] != BB)
+    return nullptr;
+  return Succ;
+}
+
+/// True if mergeLinearChains(\p F) would merge a block.
+bool hasMergeableChain(const Function &F) {
+  if (F.numBlocks() < 2)
+    return false;
+  PredecessorTable Preds(F);
+  for (const auto &BB : F.blocks())
+    if (mergeableSuccessor(F, BB.get(), Preds))
+      return true;
+  return false;
+}
+
 /// Merges a block into its unique successor when that successor has a
 /// unique predecessor (LLVM's "merge block into predecessor").
 bool mergeLinearChains(Function &F) {
@@ -61,12 +87,8 @@ bool mergeLinearChains(Function &F) {
   // merged block rather than restarting.
   for (size_t I = 0; I < F.numBlocks();) {
     BasicBlock *BB = F.blocks()[I].get();
-    Instruction *Term = BB->terminator();
-    auto *Succ = Term && Term->opcode() == Opcode::Br
-                     ? cast<BasicBlock>(Term->operand(0))
-                     : nullptr;
-    if (!Succ || Succ == BB || Succ == F.entry() ||
-        Preds[Succ].size() != 1 || Preds[Succ][0] != BB) {
+    BasicBlock *Succ = mergeableSuccessor(F, BB, Preds);
+    if (!Succ) {
       ++I;
       continue;
     }
@@ -195,64 +217,94 @@ class BlockMergePass : public FunctionPass {
 public:
   std::string name() const override { return "block-merge"; }
 
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    return hasMergeableChain(F);
+  }
+
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     return PassResult::make(mergeLinearChains(F), PreservedAnalyses::none());
   }
 };
 
-/// Threads branches through blocks of the form
+/// The phi of \p BB when BB is a jump-threading site of the form
 ///   %c = phi i1 [ true, %p1 ], [ %x, %p2 ] ; condbr %c, T, F
-/// by retargeting constant-incoming predecessors directly to T or F.
+/// with T and F distinct and other than BB; null otherwise.
+Instruction *threadablePhi(const Function &F, BasicBlock *BB) {
+  if (BB == F.entry() || BB->size() != 2)
+    return nullptr;
+  Instruction *Phi = BB->instructions()[0].get();
+  Instruction *Term = BB->terminator();
+  if (!Term || Phi->opcode() != Opcode::Phi ||
+      Term->opcode() != Opcode::CondBr || Term->operand(0) != Phi)
+    return nullptr;
+  auto *TrueBB = cast<BasicBlock>(Term->operand(1));
+  auto *FalseBB = cast<BasicBlock>(Term->operand(2));
+  if (TrueBB == BB || FalseBB == BB || TrueBB == FalseBB)
+    return nullptr;
+  return Phi;
+}
+
+/// Where incoming \p K of the threadable phi of \p BB can be threaded to:
+/// the branch target its constant selects, unless that block already has
+/// the incoming block as a predecessor (duplicate edges would corrupt its
+/// phis) or has a phi that takes a value defined in BB. Null otherwise.
+/// \p Preds is built at the first constant incoming.
+BasicBlock *threadTarget(const Function &F, BasicBlock *BB, unsigned K,
+                         std::optional<PredecessorTable> &Preds) {
+  Instruction *Phi = BB->instructions()[0].get();
+  auto *C = dyn_cast<Constant>(Phi->incomingValue(K));
+  if (!C)
+    return nullptr;
+  BasicBlock *Pred = Phi->incomingBlock(K);
+  auto *Dest =
+      cast<BasicBlock>(BB->terminator()->operand(C->intValue() ? 1 : 2));
+  if (!Preds)
+    Preds.emplace(F);
+  const std::vector<BasicBlock *> &DestPreds = (*Preds)[Dest];
+  if (std::find(DestPreds.begin(), DestPreds.end(), Pred) != DestPreds.end())
+    return nullptr;
+  for (size_t PhiIdx = 0; PhiIdx < Dest->firstNonPhi(); ++PhiIdx) {
+    Instruction *DPhi = Dest->instructions()[PhiIdx].get();
+    for (unsigned J = 0; J < DPhi->numIncoming(); ++J) {
+      if (DPhi->incomingBlock(J) != BB)
+        continue;
+      if (const auto *DefI = dyn_cast<Instruction>(DPhi->incomingValue(J)))
+        if (DefI->parent() == BB)
+          return nullptr;
+    }
+  }
+  return Dest;
+}
+
+/// Threads branches through threadable phis by retargeting
+/// constant-incoming predecessors directly to T or F.
 class JumpThreadingPass : public FunctionPass {
 public:
   std::string name() const override { return "jump-threading"; }
+
+  bool mayChange(Module &, const Function &F, AnalysisManager &) override {
+    std::optional<PredecessorTable> Preds;
+    for (const auto &BB : F.blocks())
+      if (Instruction *Phi = threadablePhi(F, BB.get()))
+        for (unsigned K = 0; K < Phi->numIncoming(); ++K)
+          if (threadTarget(F, BB.get(), K, Preds))
+            return true;
+    return false;
+  }
 
   PassResult runOnFunction(Function &F, AnalysisManager &) override {
     std::optional<PredecessorTable> Preds; // Built at the first candidate.
     bool Changed = false;
     for (const auto &BBPtr : F.blocks()) {
       BasicBlock *BB = BBPtr.get();
-      if (BB == F.entry() || BB->size() != 2)
+      Instruction *Phi = threadablePhi(F, BB);
+      if (!Phi)
         continue;
-      Instruction *Phi = BB->instructions()[0].get();
-      Instruction *Term = BB->terminator();
-      if (!Term || Phi->opcode() != Opcode::Phi ||
-          Term->opcode() != Opcode::CondBr || Term->operand(0) != Phi)
-        continue;
-      auto *TrueBB = cast<BasicBlock>(Term->operand(1));
-      auto *FalseBB = cast<BasicBlock>(Term->operand(2));
-      if (TrueBB == BB || FalseBB == BB || TrueBB == FalseBB)
-        continue;
-
       for (unsigned K = 0; K < Phi->numIncoming(); ++K) {
-        auto *C = dyn_cast<Constant>(Phi->incomingValue(K));
-        if (!C)
+        BasicBlock *Dest = threadTarget(F, BB, K, Preds);
+        if (!Dest)
           continue;
         BasicBlock *Pred = Phi->incomingBlock(K);
-        BasicBlock *Dest = C->intValue() ? TrueBB : FalseBB;
-        // The destination must not already have Pred as a predecessor
-        // (duplicate edges would corrupt its phis), and must not have phis
-        // that require values defined in BB.
-        if (!Preds)
-          Preds.emplace(F);
-        const std::vector<BasicBlock *> &DestPreds = (*Preds)[Dest];
-        if (std::find(DestPreds.begin(), DestPreds.end(), Pred) !=
-            DestPreds.end())
-          continue;
-        bool DefinedInBB = false;
-        for (size_t PhiIdx = 0; PhiIdx < Dest->firstNonPhi(); ++PhiIdx) {
-          Instruction *DPhi = Dest->instructions()[PhiIdx].get();
-          for (unsigned J = 0; J < DPhi->numIncoming(); ++J) {
-            if (DPhi->incomingBlock(J) != BB)
-              continue;
-            if (const auto *DefI =
-                    dyn_cast<Instruction>(DPhi->incomingValue(J)))
-              if (DefI->parent() == BB)
-                DefinedInBB = true;
-          }
-        }
-        if (DefinedInBB)
-          continue;
 
         // Thread: Pred jumps straight to Dest.
         for (size_t PhiIdx = 0; PhiIdx < Dest->firstNonPhi(); ++PhiIdx) {

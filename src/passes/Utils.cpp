@@ -295,9 +295,10 @@ void passes::replacePhiIncomingBlock(BasicBlock &BB, BasicBlock *From,
   }
 }
 
-bool passes::removeUnreachableBlocks(Function &F) {
-  if (F.empty())
-    return false;
+namespace {
+
+/// The blocks of the non-empty function \p F reachable from its entry.
+std::unordered_set<BasicBlock *> reachableBlocks(const Function &F) {
   std::unordered_set<BasicBlock *> Reachable;
   std::vector<BasicBlock *> Work{F.entry()};
   Reachable.insert(F.entry());
@@ -308,6 +309,19 @@ bool passes::removeUnreachableBlocks(Function &F) {
       if (Reachable.insert(Succ).second)
         Work.push_back(Succ);
   }
+  return Reachable;
+}
+
+} // namespace
+
+bool passes::hasUnreachableBlocks(const Function &F) {
+  return !F.empty() && reachableBlocks(F).size() != F.numBlocks();
+}
+
+bool passes::removeUnreachableBlocks(Function &F) {
+  if (F.empty())
+    return false;
+  std::unordered_set<BasicBlock *> Reachable = reachableBlocks(F);
   if (Reachable.size() == F.numBlocks())
     return false;
 

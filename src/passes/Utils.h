@@ -39,6 +39,10 @@ void removePhiIncomingFor(ir::BasicBlock &BB, ir::BasicBlock *Pred);
 void replacePhiIncomingBlock(ir::BasicBlock &BB, ir::BasicBlock *From,
                              ir::BasicBlock *To);
 
+/// True if \p F has a block unreachable from its entry: exactly when
+/// removeUnreachableBlocks(\p F) would change it.
+bool hasUnreachableBlocks(const ir::Function &F);
+
 /// Deletes blocks unreachable from the entry, maintaining the phis of the
 /// surviving blocks. Returns true on change.
 bool removeUnreachableBlocks(ir::Function &F);

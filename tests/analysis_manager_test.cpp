@@ -498,6 +498,50 @@ TEST(PassManager, CatchesUnreportedMutation) {
             std::string::npos);
 }
 
+/// Says it cannot change any function, then changes one when it runs:
+/// the skip a wrong mayChange() causes.
+class WrongMayChangePass : public FunctionPass {
+public:
+  std::string name() const override { return "wrong-may-change-pass"; }
+
+  bool mayChange(Module &, const Function &, AnalysisManager &) override {
+    return false; // The lie.
+  }
+
+  PassResult runOnFunction(Function &F, AnalysisManager &) override {
+    return PassResult::make(eraseUnusedPureInstruction(F),
+                            PreservedAnalyses::cfg());
+  }
+};
+
+TEST(PassManager, CatchesWrongMayChange) {
+  auto M = parse(TwoFunctionModule);
+  const std::string Before = printModule(*M);
+  // A live share: every payload is shared, so the pass is asked first and
+  // skips both functions.
+  auto Shared = M->share();
+  PassManager PM(*M);
+  PM.setVerifyPreservation(true);
+  WrongMayChangePass Liar;
+  auto R = PM.run(Liar);
+  ASSERT_FALSE(R.isOk());
+  EXPECT_EQ(R.status().code(), StatusCode::Internal);
+  EXPECT_NE(R.status().toString().find("wrong-may-change-pass"),
+            std::string::npos);
+  // helper has nothing to erase; main's %dead goes.
+  EXPECT_NE(R.status().toString().find("'main'"), std::string::npos);
+  EXPECT_EQ(printModule(*M), Before);
+
+  // An exclusive function is never shown to mayChange(): the transform
+  // runs and reports its change.
+  auto Own = parse(TwoFunctionModule);
+  PassManager OwnPM(*Own);
+  OwnPM.setVerifyPreservation(true);
+  auto OwnR = OwnPM.run(Liar);
+  ASSERT_TRUE(OwnR.isOk()) << OwnR.status().toString();
+  EXPECT_TRUE(*OwnR);
+}
+
 /// Claims loop info survived (preserve(AK_Loops) alone, so the dominator
 /// tree is dropped) while rerouting a back edge — the cached loops must be
 /// verified even without a cached tree.
@@ -603,6 +647,9 @@ class DifferentialInvalidation
 TEST_P(DifferentialInvalidation, CachedAnalysesEqualFromScratch) {
   const auto &[C, Shared] = GetParam();
   datasets::ProgramStyle Style = datasets::styleForDataset(C.Dataset);
+  telemetry::Counter &Skipped =
+      series("cg_pass_cow_copies_total", {{"outcome", "skipped"}});
+  const uint64_t SkippedBefore = Skipped.value();
 
   for (const std::string &Name : PassRegistry::instance().allNames()) {
     auto M = datasets::generateProgram(C.ProgramSeed, Style, "m");
@@ -659,6 +706,13 @@ TEST_P(DifferentialInvalidation, CachedAnalysesEqualFromScratch) {
       }
     }
   }
+  // Under a live share the passes with a mayChange() skip the functions
+  // they cannot change, and the verifier reran each skipped transform
+  // above; exclusive functions are never skipped.
+  if (Shared)
+    EXPECT_GT(Skipped.value() - SkippedBefore, 0u);
+  else
+    EXPECT_EQ(Skipped.value() - SkippedBefore, 0u);
 }
 
 const DiffCase Corpus[] = {{201, "benchmark://csmith-v0"},

@@ -154,6 +154,21 @@ TEST(TransitionDatabase, CloseWithoutFlushLosesNoRecords) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(TransitionDatabase, FilesExistWhenConstructorReturns) {
+  // The writer thread creates no file of its own, so removing the
+  // directory right after the database is gone cannot race with it.
+  for (int I = 0; I < 100; ++I) {
+    std::string Dir = tempDbDir("cg_tdb_open_test");
+    std::filesystem::remove_all(Dir);
+    core::TransitionDatabase Db(Dir);
+    EXPECT_TRUE(std::filesystem::exists(Dir + "/steps.tsv")) << I;
+    EXPECT_TRUE(std::filesystem::exists(Dir + "/observations.tsv")) << I;
+    EXPECT_TRUE(Db.flush().isOk()) << I;
+  }
+  std::filesystem::remove_all(std::filesystem::temp_directory_path() /
+                              "cg_tdb_open_test");
+}
+
 TEST(TransitionDatabase, ConcurrentAppendersLoseNoRecords) {
   std::string Dir = tempDbDir("cg_tdb_mt_test");
   constexpr int Threads = 4;

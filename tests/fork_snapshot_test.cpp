@@ -109,15 +109,76 @@ TEST(ModuleShare, PassMutationCowIsolatesParentAndSiblings) {
 TEST(ModuleShare, NoopPassKeepsOriginalAsFrozenTwin) {
   auto M = foldableModule();
   auto S = M->share();
-  // mem2reg has nothing to do here. The pass layer keeps its copy, so
-  // later passes run on it in place, and the untouched original stands in
-  // for the copy in a snapshot: a no-op pass puts no copy into one.
-  auto Changed = passes::runPass(*S, "mem2reg");
+  // licm has nothing to do here (no loops) and cannot tell beforehand. The
+  // pass layer keeps its copy, so later passes run on it in place, and the
+  // untouched original stands in for the copy in a snapshot: a no-op pass
+  // puts no copy into one.
+  auto Changed = passes::runPass(*S, "licm");
   ASSERT_TRUE(Changed.isOk());
   EXPECT_FALSE(*Changed);
   EXPECT_EQ(printModule(*S), printModule(*M));
   EXPECT_FALSE(S->isFunctionShared(0));
   EXPECT_EQ(S->freeze()->functions()[0].get(), M->functions()[0].get());
+}
+
+TEST(ModuleShare, PassThatCannotChangeAFunctionLeavesItShared) {
+  auto M = foldableModule();
+  auto S = M->share();
+  // mem2reg has nothing to do here, and its mayChange() says so: the slot
+  // keeps the shared payload, which a snapshot takes as it is.
+  auto Changed = passes::runPass(*S, "mem2reg");
+  ASSERT_TRUE(Changed.isOk());
+  EXPECT_FALSE(*Changed);
+  EXPECT_TRUE(S->isFunctionShared(0));
+  EXPECT_EQ(S->functions()[0].get(), M->functions()[0].get());
+  EXPECT_EQ(S->freeze()->functions()[0].get(), M->functions()[0].get());
+}
+
+TEST(ModuleShare, SkipKeepsForkSharedAndItsLoopsCached) {
+  // A counted loop with a preheader whose trip count is not constant:
+  // loop-simplify, loop-delete (the store) and loop-unroll<N> can do
+  // nothing, and each one's mayChange() reads the loops.
+  auto Parent = parse(R"(module "t"
+func @main(i64 %n) -> i64 {
+entry:
+  %slot = alloca ptr words 1
+  br label %body
+body:
+  %i = phi i64 [ 0, %entry ], [ %inext, %body ]
+  store i64 %i, ptr %slot
+  %inext = add i64 i64 %i, i64 1
+  %c = icmp i1 lt i64 %inext, i64 %n
+  condbr i1 %c, label %body, label %exit
+exit:
+  ret i64 %inext
+}
+)");
+  const std::string Before = printModule(*Parent);
+  auto Fork = Parent->share();
+  passes::PassManager PM(*Fork);
+  // Verification reruns each skipped transform on a clone with a manager
+  // of its own, whose lookups would count too.
+  PM.setVerifyPreservation(false);
+  auto Lookups = [](const char *Outcome) -> telemetry::Counter & {
+    return telemetry::MetricsRegistry::global().counter(
+        "cg_analysis_lookups_total", {{"kind", "loops"}, {"outcome", Outcome}});
+  };
+  const uint64_t Computed = Lookups("compute").value();
+  const uint64_t Hits = Lookups("hit").value();
+  for (const char *Pass : {"loop-simplify", "loop-delete", "loop-unroll<8>"}) {
+    auto Changed = PM.run(Pass);
+    ASSERT_TRUE(Changed.isOk()) << Pass;
+    EXPECT_FALSE(*Changed) << Pass;
+    // Skipped: parent and fork still share the one payload.
+    EXPECT_TRUE(Parent->isFunctionShared(0)) << Pass;
+    EXPECT_EQ(Fork->functions()[0].get(), Parent->functions()[0].get());
+  }
+  EXPECT_EQ(printModule(*Parent), Before);
+  EXPECT_EQ(printModule(*Fork), Before);
+  // The first predicate built the loops on the shared payload; the later
+  // loop passes' predicates hit them.
+  EXPECT_EQ(Lookups("compute").value() - Computed, 1u);
+  EXPECT_GE(Lookups("hit").value() - Hits, 2u);
 }
 
 // -- SnapshotStore -------------------------------------------------------------

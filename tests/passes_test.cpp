@@ -3,9 +3,11 @@
 // Part of the CompilerGym-C++ reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
-// Per-pass behavioural tests plus the property suite: any random pass
-// pipeline must keep modules verifier-clean and semantics-preserving
-// (differential testing against the interpreter, §III-B4).
+// Per-pass behavioural tests, the copy-on-write oracle (a pass run on a
+// share(), which skips what its mayChange() rules out, prints like one run
+// on a clone()), plus the property suite: any random pass pipeline must
+// keep modules verifier-clean and semantics-preserving (differential
+// testing against the interpreter, §III-B4).
 
 #include "analysis/Rewards.h"
 #include "datasets/CsmithGenerator.h"
@@ -18,9 +20,11 @@
 #include "passes/PassManager.h"
 #include "passes/PassRegistry.h"
 #include "passes/Pipelines.h"
+#include "telemetry/MetricsRegistry.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 using namespace compiler_gym;
@@ -1039,6 +1043,171 @@ TEST(Pipelines, OzShrinksGeneratedPrograms) {
     ASSERT_TRUE(runOptimizationLevel(*M, "-Oz").isOk());
     EXPECT_TRUE(verifyModule(*M).isOk());
     EXPECT_LT(M->instructionCount(), Before);
+  }
+}
+
+// -- Copy on write, not on visit: share() vs clone() oracle -----------------
+
+telemetry::Counter &cowCopies(const char *Outcome) {
+  return telemetry::MetricsRegistry::global().counter(
+      "cg_pass_cow_copies_total", {{"outcome", Outcome}});
+}
+
+/// Parses \p Uri.
+std::unique_ptr<Module> parseBenchmark(const std::string &Uri) {
+  auto B = datasets::DatasetRegistry::instance().resolve(Uri);
+  EXPECT_TRUE(B.isOk()) << Uri;
+  if (!B.isOk())
+    return nullptr;
+  auto Parsed = parseModule(B->IrText);
+  EXPECT_TRUE(Parsed.isOk()) << Uri;
+  return Parsed.isOk() ? Parsed.takeValue() : nullptr;
+}
+
+/// The actions whose pass overrides FunctionPass::mayChange().
+std::vector<std::string> actionsWithMayChange() {
+  std::vector<std::string> Names = {
+      "block-merge",   "cmp-canonicalize", "dse-local",
+      "instsimplify",  "jump-threading",   "loop-delete",
+      "loop-simplify", "lower-select",     "mem2reg",
+      "mergereturn",   "phi-simplify",     "redundant-load-elim",
+      "reg2mem",       "shift-combine",    "sink",
+      "store-forward", "strength-reduce",  "unreachable-elim"};
+  for (const std::string &Name : PassRegistry::instance().allNames())
+    if (Name.rfind("loop-unroll<", 0) == 0)
+      Names.push_back(Name);
+  return Names;
+}
+
+TEST(CowCopies, BlockMergeSkipsEverySharedFunctionOfAParse) {
+  auto Parsed = parseBenchmark("benchmark://cbench-v1/qsort");
+  ASSERT_NE(Parsed, nullptr);
+  auto Session = Parsed->share();
+  size_t NonEmpty = 0;
+  for (const auto &F : Session->functions())
+    NonEmpty += !F->empty();
+  ASSERT_GT(NonEmpty, 1u);
+  const uint64_t Skipped = cowCopies("skipped").value();
+  const uint64_t Unchanged = cowCopies("unchanged").value();
+  const uint64_t Changed = cowCopies("changed").value();
+  PassManager PM(*Session);
+  auto R = PM.run("block-merge");
+  ASSERT_TRUE(R.isOk()) << R.status().toString();
+  EXPECT_FALSE(*R);
+  EXPECT_EQ(cowCopies("skipped").value() - Skipped, NonEmpty);
+  EXPECT_EQ(cowCopies("unchanged").value() - Unchanged, 0u);
+  EXPECT_EQ(cowCopies("changed").value() - Changed, 0u);
+  for (size_t Idx = 0; Idx < Session->functions().size(); ++Idx)
+    EXPECT_EQ(Session->functions()[Idx].get(), Parsed->functions()[Idx].get());
+}
+
+/// One function each that jump-threading, loop-simplify and
+/// unreachable-elim change; the corpus below gives them nothing to do.
+const char *CowShapesModule = R"(module "shapes"
+func @thread(i1 %c) -> i64 {
+entry:
+  condbr i1 %c, label %a, label %b
+a:
+  br label %join
+b:
+  br label %join
+join:
+  %p = phi i1 [ 1, %a ], [ %c, %b ]
+  condbr i1 %p, label %t, label %f
+t:
+  ret i64 1
+f:
+  ret i64 2
+}
+func @nopreheader(i1 %c, i64 %n) -> i64 {
+entry:
+  condbr i1 %c, label %h, label %side
+side:
+  br label %h
+h:
+  %i = phi i64 [ 0, %entry ], [ 1, %side ], [ %inext, %h ]
+  %inext = add i64 i64 %i, i64 1
+  %d = icmp i1 lt i64 %inext, i64 %n
+  condbr i1 %d, label %h, label %out
+out:
+  ret i64 %inext
+}
+func @orphan() -> i64 {
+entry:
+  ret i64 0
+dead:
+  ret i64 1
+}
+)";
+
+TEST(CowCopies, SharedRunsPrintLikeClonedRunsAndEveryPredicateSkips) {
+  // rl-episodes' cbench-v1 programs, two autotune-fanout programs and
+  // programs 0-7 of three generated datasets, each as parsed, after
+  // mem2reg and after three seeded random actions, plus a hand-written
+  // module. Every action with a mayChange() runs on a share() of the
+  // state, whose functions all stay shared with the state, and on a
+  // clone(), whose functions are all exclusive and never skipped: a skip
+  // the transform would not make shows as a difference. Each action must
+  // skip a function and change one somewhere, so both paths are checked.
+  std::vector<std::string> Uris;
+  for (const char *Name : {"bitcount", "blowfish", "dijkstra", "patricia",
+                           "qsort", "sha", "stringsearch", "gsm"})
+    Uris.push_back(std::string("benchmark://cbench-v1/") + Name);
+  Uris.push_back("benchmark://npb-v0/0");
+  for (const char *Generated : {"benchmark://csmith-v0",
+                                "benchmark://llvm-stress-v0",
+                                "benchmark://poj104-v1"})
+    for (int I = 0; I < 8; ++I)
+      Uris.push_back(std::string(Generated) + "/" + std::to_string(I));
+
+  const std::vector<std::string> Actions = actionsWithMayChange();
+  const std::vector<std::string> &Space =
+      PassRegistry::instance().defaultActionNames();
+  std::map<std::string, uint64_t> Skips, Changes;
+  Rng Gen(0xC0FFEE);
+  std::vector<std::pair<std::string, std::unique_ptr<Module>>> States;
+  States.emplace_back("shapes", parse(CowShapesModule));
+  for (const std::string &Uri : Uris) {
+    std::unique_ptr<Module> Parsed = parseBenchmark(Uri);
+    ASSERT_NE(Parsed, nullptr) << Uri;
+    std::unique_ptr<Module> Promoted = Parsed->clone();
+    ASSERT_TRUE(runPass(*Promoted, "mem2reg").isOk()) << Uri;
+    std::unique_ptr<Module> Stepped = Parsed->clone();
+    std::string Prefix = "";
+    {
+      PassManager PM(*Stepped);
+      for (int Step = 0; Step < 3; ++Step) {
+        const std::string &Action = Space[Gen.bounded(Space.size())];
+        Prefix += Action + ",";
+        ASSERT_TRUE(PM.run(Action).isOk()) << Uri << " " << Prefix;
+      }
+    }
+    States.emplace_back(Uri + " as parsed", std::move(Parsed));
+    States.emplace_back(Uri + " after mem2reg", std::move(Promoted));
+    States.emplace_back(Uri + " after " + Prefix, std::move(Stepped));
+  }
+  for (const auto &[Where, State] : States) {
+    ASSERT_NE(State, nullptr) << Where;
+    for (const std::string &Action : Actions) {
+      auto Shared = State->share();
+      const uint64_t Before = cowCopies("skipped").value();
+      auto SharedChanged = runPass(*Shared, Action);
+      Skips[Action] += cowCopies("skipped").value() - Before;
+      auto Cloned = State->clone();
+      auto ClonedChanged = runPass(*Cloned, Action);
+      ASSERT_TRUE(SharedChanged.isOk())
+          << Where << " " << Action << ": "
+          << SharedChanged.status().toString();
+      ASSERT_TRUE(ClonedChanged.isOk()) << Where << " " << Action;
+      EXPECT_EQ(*SharedChanged, *ClonedChanged) << Where << " " << Action;
+      ASSERT_EQ(printModule(*Shared), printModule(*Cloned))
+          << Where << " " << Action;
+      Changes[Action] += *ClonedChanged;
+    }
+  }
+  for (const std::string &Action : Actions) {
+    EXPECT_GT(Skips[Action], 0u) << Action << " never skipped";
+    EXPECT_GT(Changes[Action], 0u) << Action << " never changed";
   }
 }
 
